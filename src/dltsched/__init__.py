@@ -48,7 +48,6 @@ from .solver import (
     TimeRates,
     TimingProfile,
     beta_coefficients,
-    cumulative_products,
     oracle_solve,
     simulate_timeline,
     solve_optimal,

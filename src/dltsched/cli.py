@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import datagen, evaluation, mlp, solver
@@ -223,18 +223,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_report_payload(report: mlp.TrainReport) -> dict:
-    return {
-        "epochs_run": report.epochs_run,
-        "best_epoch": report.best_epoch,
-        "best_val_loss": report.best_val_loss,
-        "stopped_early": report.stopped_early,
-        "wall_seconds": report.wall_seconds,
-        "train_losses": report.train_losses,
-        "val_losses": report.val_losses,
-    }
-
-
 def cmd_train(args) -> int:
     header, records = datagen.load_dataset(args.data)
     split_seed = args.split_seed if args.split_seed is not None else args.seed
@@ -273,7 +261,7 @@ def cmd_train(args) -> int:
     )
     mlp.save_model(args.out, model)
     if args.report:
-        Path(args.report).write_text(json.dumps(_train_report_payload(report), separators=(",", ":")) + "\n")
+        Path(args.report).write_text(json.dumps(asdict(report), separators=(",", ":")) + "\n")
     stop = "early stopping" if report.stopped_early else "epoch cap"
     print(
         f"trained {report.epochs_run} epochs ({stop}); best epoch {report.best_epoch} "
@@ -331,16 +319,10 @@ def cmd_evaluate(args) -> int:
     if args.out:
         train_report = None
         if args.train_report:
-            payload = json.loads(Path(args.train_report).read_text())
-            train_report = mlp.TrainReport(
-                epochs_run=payload["epochs_run"],
-                train_losses=payload["train_losses"],
-                val_losses=payload["val_losses"],
-                best_epoch=payload["best_epoch"],
-                best_val_loss=payload["best_val_loss"],
-                wall_seconds=payload["wall_seconds"],
-                stopped_early=payload["stopped_early"],
-            )
+            try:
+                train_report = mlp.TrainReport(**json.loads(Path(args.train_report).read_text()))
+            except (ValueError, TypeError) as exc:
+                raise FileFormatError(f"{args.train_report}: not a train report: {exc}") from exc
         files = evaluation.emit_plot_data(
             args.out,
             train_report=train_report,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, St
 from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_time_rates
 
 DATASET_FORMAT = "dltsched-dataset"
-NORMSTATS_FORMAT = "dltsched-normstats"
 FORMAT_VERSION = 1
 
 # Canonical feature order; model files are meaningless without it.
@@ -386,50 +384,14 @@ def load_dataset(path) -> tuple[DatasetHeader, list[DatasetRecord]]:
         try:
             obj = json.loads(line)
             config = _config_from_json(obj["config"])
-            features = FeatureVector(**dict(zip(FEATURE_NAMES, (float(v) for v in obj["features"]))))
+            values = (float(v) for v in obj["features"])
+            features = FeatureVector(**dict(zip(FEATURE_NAMES, values, strict=True)))
             records.append(DatasetRecord(config=config, features=features, t_star=float(obj["t_star"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
     if len(records) != header.count:
         raise FileFormatError(f"{path}: header says {header.count} records, found {len(records)}")
     return header, records
-
-
-def save_normalization(path, stats: NormalizationStats) -> None:
-    payload = {
-        "format": NORMSTATS_FORMAT,
-        "version": FORMAT_VERSION,
-        "feature_names": list(FEATURE_NAMES),
-        "feature_means": list(stats.feature_means),
-        "feature_stds": list(stats.feature_stds),
-        "target_mean": stats.target_mean,
-        "target_std": stats.target_std,
-    }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-
-
-def load_normalization(path) -> NormalizationStats:
-    obj = _load_json_checked(path, NORMSTATS_FORMAT)
-    if obj.get("feature_names") != list(FEATURE_NAMES):
-        raise FileFormatError(f"{path}: feature order mismatch")
-    return NormalizationStats(
-        feature_means=tuple(float(v) for v in obj["feature_means"]),
-        feature_stds=tuple(float(v) for v in obj["feature_stds"]),
-        target_mean=float(obj["target_mean"]),
-        target_std=float(obj["target_std"]),
-    )
-
-
-def _load_json_checked(path, expected_format: str) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("format") != expected_format:
-        raise FileFormatError(f"{path}: expected a {expected_format} file")
-    if obj.get("version") != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {obj.get('version')!r}")
-    return obj
 
 
 def dataset_file_hash(path) -> str:
@@ -439,9 +401,3 @@ def dataset_file_hash(path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def validate_record(record: DatasetRecord, compute_intensity: float, rel_tol: float = 1e-9) -> bool:
-    """Replay a record's config through the solver and compare to its label."""
-    alloc = solve_optimal(to_time_rates(record.config, compute_intensity), record.config.load_gb)
-    return math.isclose(alloc.t_star, record.t_star, rel_tol=rel_tol)

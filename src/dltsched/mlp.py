@@ -1,11 +1,11 @@
 """From-scratch feedforward regressor for makespan prediction.
 
-A 16-128-64-32-1 ReLU network with inverted dropout (placement configurable
-per hidden layer), trained with explicit backpropagation, Adam,
-mini-batches, and early stopping on validation MSE. Everything runs on
-float64 numpy and is bit-deterministic given the seed. The deployable
-bundle packs the weights together with the normalization statistics so
-inference needs no external state.
+A 16-128-64-32-1 ReLU network with inverted dropout after the first hidden
+layer, trained with explicit backpropagation, Adam, mini-batches, and early
+stopping on validation MSE. Everything runs on float64 numpy and is
+bit-deterministic given the seed. The deployable bundle packs the weights
+together with the normalization statistics so inference needs no external
+state.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class TrainConfig:
     Dropout is applied after the first hidden layer only: mask noise next
     to the single-unit linear head biases the fit toward the target mean
     and measurably floors the validation loss, so the deeper layers are
-    left undropped (``dropout_layers`` overrides, None meaning every
-    hidden layer).
+    left undropped.
     """
 
     learning_rate: float = 0.001
@@ -79,7 +78,6 @@ class TrainConfig:
     patience: int = 10
     max_epochs: int = 200
     seed: int = 0
-    dropout_layers: tuple[int, ...] | None = (0,)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -133,15 +131,13 @@ def forward(
     x,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
-    dropout_layers: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch (or single vector) of inputs.
 
-    With ``dropout_p`` > 0 each hidden unit is zeroed with that probability
-    and survivors are scaled by 1/(1-p), so the expected pre-activations
-    match inference mode and no rescaling is needed at predict time.
-    ``dropout_layers`` restricts dropout to those hidden layers (by index);
-    None applies it after every hidden layer.
+    With ``dropout_p`` > 0 each unit of the first hidden layer is zeroed
+    with that probability and survivors are scaled by 1/(1-p), so the
+    expected pre-activations match inference mode and no rescaling is
+    needed at predict time.
     """
     if dropout_p > 0 and rng is None:
         raise InvalidInputError("dropout requires a random generator")
@@ -160,7 +156,7 @@ def forward(
         mask = z > 0
         h = np.where(mask, z, 0.0)
         relu_masks.append(mask)
-        if dropout_p > 0 and (dropout_layers is None or k in dropout_layers):
+        if dropout_p > 0 and k == 0:
             keep = (rng.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
             h = h * keep
             drop_masks.append(keep)
@@ -302,13 +298,7 @@ def train(
         sq_sum = 0.0
         for start in range(0, n_train, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            preds, cache = forward(
-                params,
-                x_train[idx],
-                dropout_p=config.dropout_p,
-                rng=rng,
-                dropout_layers=config.dropout_layers,
-            )
+            preds, cache = forward(params, x_train[idx], dropout_p=config.dropout_p, rng=rng)
             residuals = preds - y_train[idx]
             sq_sum += float(residuals @ residuals)
             grads = backward(params, cache, residuals)

@@ -26,11 +26,6 @@ MB_PER_GB = 1000.0
 
 DEFAULT_COMPUTE_INTENSITY = 100.0  # GFLOP of work per GB of load
 
-# Plain suffix products are exact and cheap for small systems; beyond this
-# the solver switches to log-space to rule out overflow of the products.
-_LOGSPACE_N_THRESHOLD = 12
-_LOGSPACE_BETA_THRESHOLD = 10.0
-
 
 @dataclass(frozen=True)
 class SltnConfig:
@@ -168,56 +163,34 @@ def beta_coefficients(rates: TimeRates) -> list[float]:
     return betas
 
 
-def cumulative_products(betas: list[float]) -> list[float]:
-    """Suffix products S over the beta chain: S[n] = 1, S[i] = prod(betas[i+1:]).
-
-    Returned in index order 0..n. May overflow for extreme inputs; the
-    solver switches to a log-space variant in that regime.
-    """
-    if not betas:
-        raise InvalidInputError("beta chain is empty")
-    if any(b <= 0 for b in betas):
-        raise InvalidInputError("beta coefficients must be positive")
-    suffix = [1.0]
-    for b in reversed(betas):
-        suffix.append(suffix[-1] * b)
-    return suffix[::-1]
-
-
-def _allocation_from_suffix_logs(log_s: np.ndarray, w0: float, load_gb: float) -> LoadAllocation:
-    # alpha_i = S_i / sum(S) is scale invariant, so shift by the max log
-    # before exponentiating.
-    shift = float(np.max(log_s))
-    scaled = np.exp(log_s - shift)
-    denom = float(np.sum(scaled))
-    alpha = scaled / denom
-    t_star_norm = w0 * float(alpha[0])
-    if not np.all(np.isfinite(alpha)):
-        raise NumericError("suffix products overflowed; system too extreme for double precision")
-    return LoadAllocation(
-        alpha=tuple(float(a) for a in alpha),
-        t_star_norm=t_star_norm,
-        t_star=t_star_norm * load_gb,
-    )
-
-
 def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     """Closed-form optimal load split and makespan for a star network.
 
     The share chain alpha_{i-1} w_{i-1} = alpha_i (z_i + w_i) plus load
-    conservation gives alpha_i proportional to the beta suffix products.
+    conservation gives alpha_i proportional to the beta suffix product
+    S_i = beta_{i+1} ... beta_n (S_n = 1). There is one route for every
+    system: log S_i is summed from the last child back to the root, shifted
+    by its maximum and exponentiated, so no product overflows whatever n,
+    and the shares are normalised with an exact sum.
+
+    Range: any system whose shares the double format holds as positive
+    numbers, i.e. down to about 5e-324 of the largest share (with fewer
+    significant digits below about 2e-308). A system whose smallest share
+    underflows to zero, or whose beta coefficient leaves the double range,
+    raises NumericError.
     """
     if not (load_gb > 0 and math.isfinite(load_gb)):
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")
-    betas = beta_coefficients(rates)
-    if rates.n > _LOGSPACE_N_THRESHOLD or max(betas) > _LOGSPACE_BETA_THRESHOLD:
-        log_s = np.concatenate([np.cumsum(np.log(betas)[::-1])[::-1], [0.0]])
-        return _allocation_from_suffix_logs(log_s, rates.w0, load_gb)
-    suffix = cumulative_products(betas)
-    denom = math.fsum(suffix)
-    if not math.isfinite(denom):
-        raise NumericError("suffix products overflowed; system too extreme for double precision")
-    alpha = tuple(s / denom for s in suffix)
+    log_s = [0.0]
+    for beta in reversed(beta_coefficients(rates)):
+        if not 0.0 < beta < math.inf:
+            raise NumericError(f"beta coefficient {beta!r} outside the double range; rate spread too extreme")
+        log_s.append(log_s[-1] + math.log(beta))
+    log_s.reverse()
+    shift = max(log_s)
+    scaled = [math.exp(v - shift) for v in log_s]
+    denom = math.fsum(scaled)
+    alpha = tuple(s / denom for s in scaled)
     t_star_norm = rates.w0 * alpha[0]
     return LoadAllocation(alpha=alpha, t_star_norm=t_star_norm, t_star=t_star_norm * load_gb)
 

@@ -191,6 +191,28 @@ class TestEvaluateCommand:
         assert "loss_curves.csv" in names
         assert "per_n_errors.csv" in names
 
+    @pytest.mark.parametrize(
+        "content",
+        ["not json\n", '{"epochs_run": 2}\n', None],
+        ids=["not-json", "missing-key", "extra-key"],
+    )
+    def test_malformed_train_report_is_data_error(self, capsys, tmp_path, tiny_pipeline, content):
+        if content is None:
+            payload = json.loads(tiny_pipeline["report"].read_text())
+            content = json.dumps({**payload, "learning_rate": 0.001})
+        bad = tmp_path / "report.json"
+        bad.write_text(content)
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--model", str(tiny_pipeline["model"]),
+            "--data", str(tiny_pipeline["data"]),
+            "--out", str(tmp_path / "plots"),
+            "--train-report", str(bad),
+        )
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ") and "not a train report" in err
+
     def test_intensity_mismatch_is_data_error(self, capsys, tmp_path, tiny_pipeline):
         other = tmp_path / "other.jsonl"
         run(capsys, "generate", "--count", "40", "--seed", "2", "--out", str(other), "--compute-intensity", "50")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,6 @@ class TestGenerateDataset:
         for rec in records:
             replay = oracle_solve(to_time_rates(rec.config, 100.0), rec.config.load_gb)
             assert replay.t_star == pytest.approx(rec.t_star, rel=1e-9)
-            assert datagen.validate_record(rec, 100.0)
 
     def test_feature_consistency(self):
         for rec in generate_dataset(20, seed=4):
@@ -228,8 +229,14 @@ class TestDatasetFiles:
         with pytest.raises(FileFormatError):
             load_dataset(path)
 
-    def test_normalization_stats_round_trip(self, tmp_path):
-        stats = fit_normalization(generate_dataset(150, seed=13))
-        path = tmp_path / "norm.json"
-        datagen.save_normalization(path, stats)
-        assert datagen.load_normalization(path) == stats
+    def test_rejects_wrong_feature_count(self, tmp_path):
+        records = generate_dataset(10, seed=2)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, records, self.header(10, seed=2))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["features"].append(1.0)
+        lines[3] = json.dumps(record, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=":4: malformed record"):
+            load_dataset(path)

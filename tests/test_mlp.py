@@ -163,30 +163,29 @@ class TestBackward:
                 assert abs(numeric - gflat[i]) / denom <= 1e-4
 
     def test_gradient_check_with_dropout_masks(self):
-        # Fixed masks are part of the computation graph; reuse them in the
-        # finite-difference loss to check backward honors them.
+        # A fixed mask is part of the computation graph; reuse it in the
+        # finite-difference loss to check backward honors it. Only the first
+        # hidden layer carries one.
         rng = np.random.default_rng(17)
         params = init_params(13, (6, 4, 3, 1))
         for b in params.biases:
             b[:] = rng.normal(size=b.shape)  # keep pre-activations off the ReLU kink
         x, y = random_batch(rng, 5, dim=6)
         _, cache = forward(params, x, dropout_p=0.4, rng=np.random.default_rng(99))
+        first_mask = cache.drop_masks[0]
+        assert (first_mask == 0).any() and cache.drop_masks[1:] == [None]
+
+        def masked_preds():
+            z = x @ params.weights[0].T + params.biases[0]
+            h = np.where(z > 0, z, 0.0) * first_mask
+            z = h @ params.weights[1].T + params.biases[1]
+            h = np.where(z > 0, z, 0.0)
+            return (h @ params.weights[-1].T + params.biases[-1])[:, 0]
 
         def loss_with_masks():
-            h = x
-            for k in range(len(params.weights) - 1):
-                z = h @ params.weights[k].T + params.biases[k]
-                h = np.where(z > 0, z, 0.0) * cache.drop_masks[k]
-            out = (h @ params.weights[-1].T + params.biases[-1])[:, 0]
-            return loss_mse(out, y)
+            return loss_mse(masked_preds(), y)
 
-        preds = None
-        h = x
-        for k in range(len(params.weights) - 1):
-            z = h @ params.weights[k].T + params.biases[k]
-            h = np.where(z > 0, z, 0.0) * cache.drop_masks[k]
-        preds = (h @ params.weights[-1].T + params.biases[-1])[:, 0]
-        grads = backward(params, cache, preds - y)
+        grads = backward(params, cache, masked_preds() - y)
 
         eps = 1e-5
         for arr, grad in zip([*params.weights, *params.biases], [*grads.weights, *grads.biases]):

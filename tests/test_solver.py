@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dltsched.errors import InvalidInputError
+from dltsched.errors import InvalidInputError, NumericError
 from dltsched.solver import (
     SltnConfig,
     TimeRates,
     beta_coefficients,
-    cumulative_products,
     oracle_solve,
     simulate_timeline,
     solve_optimal,
@@ -65,23 +67,6 @@ class TestBetaCoefficients:
         assert beta_coefficients(rates) == [2.5, 2.5]
 
 
-class TestCumulativeProducts:
-    def test_suffix_products(self):
-        assert cumulative_products([2.0, 2.0]) == [4.0, 2.0, 1.0]
-
-    def test_identity_case(self):
-        assert cumulative_products([1.0]) == [1.0, 1.0]
-
-    def test_hand_suffix(self):
-        assert cumulative_products([2.5, 2.5]) == [6.25, 2.5, 1.0]
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            cumulative_products([])
-        with pytest.raises(InvalidInputError):
-            cumulative_products([1.0, -2.0])
-
-
 class TestSolveOptimal:
     def test_free_link_splits_evenly(self):
         alloc = solve_optimal(TimeRates(w0=1.0, w=(1.0,), z=(0.0,)), 1.0)
@@ -121,13 +106,24 @@ class TestSolveOptimal:
         with pytest.raises(InvalidInputError):
             solve_optimal(rates, 0.0)
 
-    def test_logspace_path_matches_plain(self):
-        # n above the log-space threshold, mild betas: both routes valid.
+    def test_large_n_matches_oracle(self):
         rng = np.random.default_rng(11)
         rates, load = random_rates(rng, n=18)
         closed = solve_optimal(rates, load)
         linear = oracle_solve(rates, load)
         np.testing.assert_allclose(closed.alpha, linear.alpha, rtol=1e-9)
+
+    def test_share_near_double_underflow_is_returned(self):
+        # Suffix products of 1e310 overflow as plain products; their logs do not.
+        rates = TimeRates(w0=1.0, w=(1.0, 1.0, 1.0), z=(0.0, 1e155, 1e155))
+        closed = solve_optimal(rates, 1.0)
+        assert 0 < closed.alpha[3] < 1e-308
+        np.testing.assert_allclose(closed.alpha, oracle_solve(rates, 1.0).alpha, rtol=1e-9)
+
+    def test_beta_outside_double_range_raises_numeric_error(self):
+        # beta_1 = 1e-200 / 1e200 underflows to zero.
+        with pytest.raises(NumericError):
+            solve_optimal(TimeRates(w0=1e200, w=(1e-200,), z=(0.0,)), 1.0)
 
     def test_extreme_rate_spread_raises_numeric_error(self):
         from dltsched.errors import NumericError
@@ -136,6 +132,47 @@ class TestSolveOptimal:
         rates = TimeRates(w0=1.0, w=(1.0,) * 20, z=(1e18,) * 20)
         with pytest.raises(NumericError):
             solve_optimal(rates, 1.0)
+
+
+@st.composite
+def chained_rates(draw):
+    """Rates built from drawn beta coefficients, each split between the
+    child's compute rate and its link rate."""
+    n = draw(st.integers(1, 40))
+    betas = draw(st.lists(st.floats(0.01, 1e3), min_size=n, max_size=n))
+    compute_parts = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    w_prev, w, z = 1.0, [], []
+    for beta, part in zip(betas, compute_parts):
+        w.append(part * beta * w_prev)
+        z.append((1.0 - part) * beta * w_prev)
+        w_prev = w[-1]
+    return TimeRates(w0=1.0, w=tuple(w), z=tuple(z)), draw(st.floats(1.0, 100.0))
+
+
+def exact_shares(rates):
+    """Optimal shares in rational arithmetic, straight from the finish-time
+    equalities alpha_i (z_i + w_i) = alpha_{i-1} w_{i-1} and conservation."""
+    shares = [Fraction(1)]
+    w_prev = Fraction(rates.w0)
+    for w, z in zip(rates.w, rates.z):
+        shares.append(shares[-1] * w_prev / (Fraction(z) + Fraction(w)))
+        w_prev = Fraction(w)
+    total = sum(shares)
+    return [s / total for s in shares]
+
+
+class TestSolveOptimalProperty:
+    # Compared with exact arithmetic, not oracle_solve: Gaussian elimination
+    # loses relative accuracy on the smallest shares when betas fall below 1
+    # along a long chain (1.2e-9 at n=6 with betas near 0.016).
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chained_rates())
+    def test_matches_exact_shares(self, system):
+        rates, load = system
+        closed = solve_optimal(rates, load)
+        shares = exact_shares(rates)
+        assert closed.t_star == pytest.approx(float(shares[0] * Fraction(rates.w0) * Fraction(load)), rel=1e-9)
+        np.testing.assert_allclose(closed.alpha, [float(s) for s in shares], rtol=1e-9)
 
 
 class TestSimulateTimeline:
