@@ -60,8 +60,7 @@ def hybrid_predict(
     if heterog_threshold is not None and not verify:
         verify = datagen.extract_features(config).heterog_w > heterog_threshold
     if verify:
-        intensity = float(model.metadata.get("compute_intensity", solver.DEFAULT_COMPUTE_INTENSITY))
-        alloc = solver.solve_optimal(solver.to_time_rates(config, intensity), config.load_gb)
+        alloc = solver.solve_optimal(solver.to_time_rates(config, model.compute_intensity), config.load_gb)
         return HybridDecision(
             t_star=alloc.t_star, source="dlt-verified", ml_estimate=ml_estimate, threshold=threshold
         )
@@ -228,13 +227,6 @@ def cmd_train(args) -> int:
     split_seed = args.split_seed if args.split_seed is not None else args.seed
     train_recs, val_recs, _ = datagen.split_dataset(records, split_seed)
     _progress(f"loaded {len(records)} records; {len(train_recs)} train / {len(val_recs)} val")
-    norm = datagen.fit_normalization(train_recs)
-    x_tr, y_tr = datagen.apply_normalization(
-        norm, datagen.feature_matrix(train_recs), datagen.target_array(train_recs)
-    )
-    x_val, y_val = datagen.apply_normalization(
-        norm, datagen.feature_matrix(val_recs), datagen.target_array(val_recs)
-    )
     config = mlp.TrainConfig(
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
@@ -250,12 +242,12 @@ def cmd_train(args) -> int:
         "compute_intensity": header.compute_intensity,
     }
     model, report = mlp.train(
-        x_tr,
-        y_tr,
-        x_val,
-        y_val,
+        datagen.feature_matrix(train_recs),
+        datagen.target_array(train_recs),
+        datagen.feature_matrix(val_recs),
+        datagen.target_array(val_recs),
         config,
-        norm,
+        datagen.fit_normalization(train_recs),
         metadata=metadata,
         on_epoch=lambda e, tr, vl: _progress(f"epoch {e}: train {tr:.6f} val {vl:.6f}"),
     )
@@ -280,10 +272,9 @@ def _select_split(records, split: str, split_seed: int):
 def cmd_evaluate(args) -> int:
     model = mlp.load_model(args.model)
     header, records = datagen.load_dataset(args.data)
-    model_intensity = model.metadata.get("compute_intensity")
-    if model_intensity is not None and float(model_intensity) != header.compute_intensity:
+    if model.compute_intensity != header.compute_intensity:
         raise FileFormatError(
-            f"model was trained at compute intensity {model_intensity}, dataset has "
+            f"model was trained at compute intensity {model.compute_intensity}, dataset has "
             f"{header.compute_intensity}; labels are incompatible"
         )
     split_seed = args.split_seed
@@ -294,8 +285,7 @@ def cmd_evaluate(args) -> int:
     subset = _select_split(records, args.split, int(split_seed) if split_seed is not None else 0)
     _progress(f"evaluating {len(subset)} records ({args.split} split)")
     predictions = mlp.predict_features(model, datagen.feature_matrix(subset))
-    targets = datagen.target_array(subset)
-    metrics = evaluation.compute_metrics(predictions, targets)
+    metrics = evaluation.compute_metrics(predictions, datagen.target_array(subset))
     if args.format == "machine":
         print(
             json.dumps(
@@ -323,16 +313,7 @@ def cmd_evaluate(args) -> int:
                 train_report = mlp.TrainReport(**json.loads(Path(args.train_report).read_text()))
             except (ValueError, TypeError) as exc:
                 raise FileFormatError(f"{args.train_report}: not a train report: {exc}") from exc
-        files = evaluation.emit_plot_data(
-            args.out,
-            train_report=train_report,
-            predictions=predictions,
-            targets=targets,
-            by_n=evaluation.stratify(subset, predictions, "by-n"),
-            by_load=evaluation.stratify(subset, predictions, "by-load"),
-            by_heterog=evaluation.stratify(subset, predictions, "by-heterogeneity"),
-            residual=evaluation.residual_analysis(predictions, targets),
-        )
+        files = evaluation.emit_plot_data(args.out, subset, predictions, train_report)
         _progress(f"wrote {len(files)} plot tables to {args.out}")
     return EXIT_OK
 
@@ -401,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, help="defaults to --seed")
     p.add_argument("--learning-rate", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.2)
+    p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--patience", type=int, default=10)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--report", help="write the train report JSON here")
@@ -426,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hybrid", help="surrogate prediction with exact verification fallback")
     p.add_argument("--model", required=True)
     _add_system_flags(p)
-    p.add_argument("--threshold", type=float, default=DEFAULT_HYBRID_THRESHOLD, help="seconds")
+    p.add_argument("--threshold", type=float, default=DEFAULT_HYBRID_THRESHOLD, help="absolute seconds")
     p.add_argument(
         "--heterog-threshold",
         type=float,

@@ -276,10 +276,8 @@ def fit_normalization(train: list[DatasetRecord]) -> NormalizationStats:
 
 
 def apply_normalization(stats: NormalizationStats, features, target=None):
-    """Z-score features (FeatureVector or array of shape (..., 16)); also the
-    target when given. Inverse of :func:`denormalize_target` on the target."""
-    if isinstance(features, FeatureVector):
-        features = features.as_array()
+    """Z-score features (array of shape (..., 16)); also the target when
+    given. Inverse of :func:`denormalize_target` on the target."""
     x = (np.asarray(features, dtype=float) - np.array(stats.feature_means)) / np.array(stats.feature_stds)
     if target is None:
         return x

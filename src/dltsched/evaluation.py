@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import FEATURE_NAMES, DatasetRecord, FeatureVector, apply_normalization
+from .datagen import FEATURE_NAMES, DatasetRecord, apply_normalization, target_array
 from .errors import InvalidInputError
 from .mlp import MlpModel, input_gradients
 
@@ -24,7 +24,7 @@ from .mlp import MlpModel, input_gradients
 LOAD_BIN_EDGES = (1.0, 5.0, 10.0, 20.0, 40.0, 100.0)
 HETEROG_BIN_EDGES = (1.0, 2.0, 5.0, 10.0, 15.0)
 
-STRATIFY_SCHEMES = ("by-n", "by-load", "by-heterogeneity", "all")
+STRATIFY_SCHEMES = ("by-n", "by-load", "by-heterogeneity")
 
 _HIST_BINS = 40
 
@@ -142,18 +142,15 @@ def _bucket_report(label: str, predictions: np.ndarray, targets: np.ndarray) -> 
 
 
 def stratify(records: list[DatasetRecord], predictions, scheme: str) -> StratifiedReport:
-    """Slice predictions into buckets by n, load bin, heterogeneity bin, or
-    a single all-records bucket."""
+    """Slice predictions into buckets by n, load bin, or heterogeneity bin."""
     if scheme not in STRATIFY_SCHEMES:
         raise InvalidInputError(f"unknown scheme {scheme!r}; expected one of {STRATIFY_SCHEMES}")
     predictions = np.asarray(predictions, dtype=float)
     if predictions.shape != (len(records),):
         raise InvalidInputError("need exactly one prediction per record")
-    targets = np.array([rec.t_star for rec in records], dtype=float)
+    targets = target_array(records)
 
-    if scheme == "all":
-        groups = [("all", np.arange(len(records)))]
-    elif scheme == "by-n":
+    if scheme == "by-n":
         ns = np.array([rec.config.n for rec in records])
         groups = [(f"n={n}", np.flatnonzero(ns == n)) for n in range(int(ns.min()), int(ns.max()) + 1)]
     elif scheme == "by-load":
@@ -211,10 +208,8 @@ def feature_importance(model: MlpModel, features) -> list[tuple[str, float]]:
     """Mean absolute output gradient per input feature, largest first.
 
     Gradients are taken in normalized input space; ``features`` are raw
-    feature rows (arrays or FeatureVector instances).
+    feature rows.
     """
-    if isinstance(features, (list, tuple)) and features and isinstance(features[0], FeatureVector):
-        features = np.array([f.as_array() for f in features])
     x = np.atleast_2d(apply_normalization(model.norm, features))
     if x.shape[0] == 0:
         raise InvalidInputError("need at least one sample for importance analysis")
@@ -257,22 +252,16 @@ def _stratum_rows(report: StratifiedReport) -> list[tuple]:
 _STRATUM_COLUMNS = ["bucket", "count", "r2", "mae_s", "rmse_s", "mape_pct", "median_pct", "p90_pct", "max_pct"]
 
 
-def emit_plot_data(
-    out_dir,
-    train_report=None,
-    predictions=None,
-    targets=None,
-    by_n: StratifiedReport | None = None,
-    by_load: StratifiedReport | None = None,
-    by_heterog: StratifiedReport | None = None,
-    residual: ResidualReport | None = None,
-) -> list[Path]:
-    """Write one delimited table per available analysis into ``out_dir``.
+def emit_plot_data(out_dir, records: list[DatasetRecord], predictions, train_report=None) -> list[Path]:
+    """Write the plot tables for one prediction per record into ``out_dir``.
 
-    Covers loss curves, predicted-vs-actual pairs, error and percentage
-    error histograms, residual-vs-prediction pairs, and the three bucket
-    summaries. Re-running on the same inputs rewrites identical bytes.
+    Covers loss curves (when ``train_report`` is given), predicted-vs-actual
+    pairs against the records' labels, error and percentage error
+    histograms, residual-vs-prediction pairs, and the bucket summaries of
+    the three stratification schemes. Re-running on the same inputs
+    rewrites identical bytes.
     """
+    predictions, targets = _check_pairs(predictions, target_array(records))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -284,45 +273,39 @@ def emit_plot_data(
         ]
         written.append(_write_table(out_dir / "loss_curves.csv", ["epoch", "train_loss", "val_loss"], rows))
 
-    if predictions is not None and targets is not None:
-        predictions, targets = _check_pairs(predictions, targets)
-        written.append(
-            _write_table(
-                out_dir / "pred_vs_actual.csv",
-                ["actual_s", "predicted_s"],
-                list(zip(targets.tolist(), predictions.tolist())),
-            )
+    written.append(
+        _write_table(
+            out_dir / "pred_vs_actual.csv",
+            ["actual_s", "predicted_s"],
+            list(zip(targets.tolist(), predictions.tolist())),
         )
-        errors = predictions - targets
+    )
+    residual = residual_analysis(predictions, targets)
+    for name, unit, errors in (
+        ("error_hist.csv", "s", residual.residuals),
+        ("pct_error_hist.csv", "pct", residual.residuals / targets * 100.0),
+    ):
         counts, edges = np.histogram(errors, bins=_HIST_BINS)
         written.append(
             _write_table(
-                out_dir / "error_hist.csv",
-                ["bin_lo_s", "bin_hi_s", "count"],
+                out_dir / name,
+                [f"bin_lo_{unit}", f"bin_hi_{unit}", "count"],
                 [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)],
             )
         )
-        signed_pct = errors / targets * 100.0
-        counts, edges = np.histogram(signed_pct, bins=_HIST_BINS)
-        written.append(
-            _write_table(
-                out_dir / "pct_error_hist.csv",
-                ["bin_lo_pct", "bin_hi_pct", "count"],
-                [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)],
-            )
+    written.append(
+        _write_table(
+            out_dir / "residual_vs_predicted.csv",
+            ["predicted_s", "residual_s"],
+            list(zip(residual.predictions.tolist(), residual.residuals.tolist())),
         )
-
-    if residual is not None:
-        written.append(
-            _write_table(
-                out_dir / "residual_vs_predicted.csv",
-                ["predicted_s", "residual_s"],
-                list(zip(residual.predictions.tolist(), residual.residuals.tolist())),
-            )
-        )
-
-    for report, name in ((by_n, "per_n_errors.csv"), (by_load, "load_bin_errors.csv"), (by_heterog, "heterog_bin_errors.csv")):
-        if report is not None:
-            written.append(_write_table(out_dir / name, _STRATUM_COLUMNS, _stratum_rows(report)))
+    )
+    for scheme, name in (
+        ("by-n", "per_n_errors.csv"),
+        ("by-load", "load_bin_errors.csv"),
+        ("by-heterogeneity", "heterog_bin_errors.csv"),
+    ):
+        report = stratify(records, predictions, scheme)
+        written.append(_write_table(out_dir / name, _STRATUM_COLUMNS, _stratum_rows(report)))
 
     return written

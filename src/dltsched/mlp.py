@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import NormalizationStats, apply_normalization, denormalize_target, extract_features
+from .datagen import FEATURE_NAMES, NormalizationStats, apply_normalization, denormalize_target, extract_features
 from .errors import FileFormatError, InvalidInputError, TrainingDivergedError
 from .solver import SltnConfig
 
@@ -27,6 +27,9 @@ MODEL_VERSION = 1
 
 DEFAULT_LAYER_DIMS = (16, 128, 64, 32, 1)
 EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
+
+# Feature columns of the compute lower bound on the makespan.
+_N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_gb", "mean_w", "w0"))
 
 
 @dataclass
@@ -66,15 +69,15 @@ class ForwardCache:
 class TrainConfig:
     """Training hyperparameters.
 
-    Dropout is applied after the first hidden layer only: mask noise next
-    to the single-unit linear head biases the fit toward the target mean
-    and measurably floors the validation loss, so the deeper layers are
-    left undropped.
+    Dropout is off by default: on this smooth regression any p = 0.2
+    placement floors the validation loss. When enabled it acts after the
+    first hidden layer only, because mask noise next to the single-unit
+    linear head biases the fit toward the target mean.
     """
 
     learning_rate: float = 0.001
     batch_size: int = 256
-    dropout_p: float = 0.2
+    dropout_p: float = 0.0
     patience: int = 10
     max_epochs: int = 200
     seed: int = 0
@@ -110,6 +113,13 @@ class MlpModel:
     params: MlpParams
     norm: NormalizationStats
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def compute_intensity(self) -> float:
+        """GFLOP per GB of the labels the model was trained on."""
+        if "compute_intensity" not in self.metadata:
+            raise InvalidInputError("model metadata lacks compute_intensity")
+        return float(self.metadata["compute_intensity"])
 
 
 def init_params(seed, layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS) -> MlpParams:
@@ -261,20 +271,24 @@ def train(
     y_val: np.ndarray,
     config: TrainConfig,
     norm: NormalizationStats,
-    metadata: dict | None = None,
+    metadata: dict,
     on_epoch=None,
 ) -> tuple[MlpModel, TrainReport]:
-    """Train on normalized arrays; returns the bundle from the best-validation epoch.
+    """Train on raw feature rows and makespans; returns the bundle from the
+    best-validation epoch.
 
-    Shuffles each epoch, uses the final partial batch, evaluates validation
-    MSE with dropout off after every epoch, and stops once validation loss
-    has not improved for ``config.patience`` epochs. ``on_epoch`` is an
-    optional progress callback taking (epoch, train_loss, val_loss).
+    Rows and targets are z-scored with ``norm``, and the reported losses are
+    MSE in that space. Shuffles each epoch, uses the final partial batch,
+    evaluates validation MSE with dropout off after every epoch, and stops
+    once validation loss has not improved for ``config.patience`` epochs.
+    ``on_epoch`` is an optional progress callback taking (epoch, train_loss,
+    val_loss). ``metadata`` must hold the labels' ``compute_intensity``,
+    which bounds every answer of :func:`predict_features`.
     """
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=float)
-    x_val = np.asarray(x_val, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
+    if "compute_intensity" not in metadata:
+        raise InvalidInputError("metadata must record the labels' compute_intensity")
+    x_train, y_train = apply_normalization(norm, x_train, y_train)
+    x_val, y_val = apply_normalization(norm, x_val, y_val)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise InvalidInputError("training and validation sets must be nonempty")
 
@@ -332,15 +346,21 @@ def train(
         wall_seconds=time.perf_counter() - started,
         stopped_early=stopped_early,
     )
-    model = MlpModel(params=best_params, norm=norm, metadata=dict(metadata or {}))
+    model = MlpModel(params=best_params, norm=norm, metadata=dict(metadata))
     return model, report
 
 
 def predict_features(model: MlpModel, features) -> np.ndarray:
-    """Predict makespans (seconds) from raw, unnormalized feature rows."""
-    x = apply_normalization(model.norm, features)
-    y, _ = forward(model.params, x)
-    return denormalize_target(model.norm, y)
+    """Predict makespans (seconds) from raw, unnormalized feature rows.
+
+    Each answer is at least the compute lower bound I*L / (w0 + n*mean_w):
+    processor i needs alpha_i*L*I/speed_i seconds and the shares sum to 1.
+    The bound keeps the unclamped linear head from answering <= 0 s.
+    """
+    rows = np.atleast_2d(np.asarray(features, dtype=float))
+    y, _ = forward(model.params, apply_normalization(model.norm, rows))
+    bound = model.compute_intensity * rows[:, _LOAD_GB] / (rows[:, _W0] + rows[:, _N] * rows[:, _MEAN_W])
+    return np.maximum(denormalize_target(model.norm, y), bound)
 
 
 def predict(model: MlpModel, config: SltnConfig) -> float:
@@ -389,8 +409,11 @@ def load_model(path) -> MlpModel:
             target_mean=float(obj["norm"]["target_mean"]),
             target_std=float(obj["norm"]["target_std"]),
         )
+        metadata = dict(obj["metadata"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
+    if "compute_intensity" not in metadata:
+        raise FileFormatError(f"{path}: model metadata lacks compute_intensity")
     params = MlpParams(weights, biases)
     expected_shapes = [
         (out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])
@@ -404,4 +427,4 @@ def load_model(path) -> MlpModel:
         raise FileFormatError(
             f"{path}: parameter count {params.param_count()} != {EXPECTED_PARAM_COUNT}"
         )
-    return MlpModel(params=params, norm=norm, metadata=dict(obj.get("metadata", {})))
+    return MlpModel(params=params, norm=norm, metadata=metadata)

@@ -224,6 +224,12 @@ def oracle_solve(rates: TimeRates, load_gb: float) -> LoadAllocation:
     Independent check on the closed form: builds the n simultaneous-finish
     equalities plus load conservation as an (n+1)x(n+1) system and solves it
     by Gaussian elimination, never touching the beta/suffix-product route.
+
+    Its shares are accurate in absolute terms only. When betas fall below 1
+    along the chain, small shares miss in relative terms: w0 = 1, w = (0.5,
+    0.0078125, 1.22e-4, 1.43e-6, 4.47e-8, 4.47e-8), z = 0 is 1.25e-9 off the
+    exact fractions, and 14 children with w falling from 0.0117 to 1.3e-17
+    give a share of -6.4e-19 and ``NumericError``.
     """
     if not (load_gb > 0 and math.isfinite(load_gb)):
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")

@@ -149,6 +149,7 @@ class TestLearningCriteria:
                 desk_run["y_val"],
                 desk_train_config(backup_seed),
                 desk_run["norm"],
+                metadata={"compute_intensity": DESK_INTENSITY},
             )
             stopped.append(rep.stopped_early)
         elapsed = desk_run["pipeline_seconds"]
@@ -252,32 +253,26 @@ class TestDeterminismCriterion:
             )
             datagen.save_dataset(d / "data.jsonl", records, header)
             train_recs, val_recs, test_recs = datagen.split_dataset(records, 3)
-            norm = datagen.fit_normalization(train_recs)
-            x_tr, y_tr = datagen.apply_normalization(
-                norm, datagen.feature_matrix(train_recs), datagen.target_array(train_recs)
+            model, report = mlp.train(
+                datagen.feature_matrix(train_recs),
+                datagen.target_array(train_recs),
+                datagen.feature_matrix(val_recs),
+                datagen.target_array(val_recs),
+                mlp.TrainConfig(seed=3, max_epochs=4, dropout_p=0.2),
+                datagen.fit_normalization(train_recs),
+                metadata={"train_seed": 3, "split_seed": 3, "compute_intensity": DESK_INTENSITY},
             )
-            x_val, y_val = datagen.apply_normalization(
-                norm, datagen.feature_matrix(val_recs), datagen.target_array(val_recs)
-            )
-            model, _ = mlp.train(x_tr, y_tr, x_val, y_val, mlp.TrainConfig(seed=3, max_epochs=4), norm)
             mlp.save_model(d / "model.json", model)
             preds = mlp.predict_features(model, datagen.feature_matrix(test_recs))
-            targets = datagen.target_array(test_recs)
-            evaluation.emit_plot_data(
-                d / "plots",
-                predictions=preds,
-                targets=targets,
-                by_n=evaluation.stratify(test_recs, preds, "by-n"),
-                residual=evaluation.residual_analysis(preds, targets),
-            )
+            evaluation.emit_plot_data(d / "plots", test_recs, preds, train_report=report)
             outputs.append(d)
 
         one, two = outputs
         same_data = (one / "data.jsonl").read_bytes() == (two / "data.jsonl").read_bytes()
         same_model = (one / "model.json").read_bytes() == (two / "model.json").read_bytes()
-        same_plots = all(
-            f.read_bytes() == (two / "plots" / f.name).read_bytes()
-            for f in sorted((one / "plots").iterdir())
+        plot_names = sorted(f.name for f in (one / "plots").iterdir())
+        same_plots = len(plot_names) == 8 and all(
+            (one / "plots" / name).read_bytes() == (two / "plots" / name).read_bytes() for name in plot_names
         )
         m1 = mlp.load_model(one / "model.json")
         m2 = mlp.load_model(two / "model.json")

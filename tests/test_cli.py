@@ -6,6 +6,8 @@ from dltsched import mlp, solver
 from dltsched.cli import hybrid_predict, main, parse_config_text
 from dltsched.errors import InvalidInputError
 
+from conftest import constant_model
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -257,6 +259,12 @@ class TestHybrid:
         assert decision.source == "dlt-verified"
         exact = solver.solve_optimal(solver.to_time_rates(config, 100.0), config.load_gb)
         assert decision.t_star == exact.t_star
+
+    def test_surrogate_branch_is_bounded(self):
+        config = self.config()
+        decision = hybrid_predict(constant_model(-5.0, compute_intensity=100.0), config, threshold=1e12)
+        assert decision.source == "ml"
+        assert decision.t_star == decision.ml_estimate == 100.0 * 20.0 / (4.0 + 3 * 6.0)
 
     def test_heterogeneity_trigger(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])

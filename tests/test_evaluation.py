@@ -92,9 +92,9 @@ class TestStratify:
 
     def test_single_bucket_matches_global_metrics(self):
         rng = np.random.default_rng(1)
-        records = [record_for(n=int(n), t_star=float(t)) for n, t in zip(rng.integers(3, 21, 40), rng.uniform(50, 500, 40))]
+        records = [record_for(n=7, t_star=float(t)) for t in rng.uniform(50, 500, 40)]
         preds = np.array([rec.t_star for rec in records]) * rng.uniform(0.9, 1.1, 40)
-        report = stratify(records, preds, "all")
+        report = stratify(records, preds, "by-n")
         whole = compute_metrics(preds, [rec.t_star for rec in records])
         assert len(report.buckets) == 1
         assert report.buckets[0].metrics == whole
@@ -111,6 +111,8 @@ class TestStratify:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidInputError):
             stratify([record_for()], [1.0], "by-moon-phase")
+        with pytest.raises(InvalidInputError):
+            stratify([record_for()], [1.0], "all")
 
 
 class TestResidualAnalysis:
@@ -194,8 +196,7 @@ class TestEmitPlotData:
             record_for(n=int(n), load=float(l), t_star=float(t))
             for n, l, t in zip(rng.integers(3, 21, 80), rng.uniform(1, 100, 80), rng.uniform(50, 2000, 80))
         ]
-        targets = np.array([rec.t_star for rec in records])
-        preds = targets + rng.normal(0, 30, 80)
+        preds = np.array([rec.t_star for rec in records]) + rng.normal(0, 30, 80)
         report = TrainReport(
             epochs_run=5,
             train_losses=[0.5, 0.3, 0.2, 0.15, 0.12],
@@ -205,20 +206,11 @@ class TestEmitPlotData:
             wall_seconds=1.0,
             stopped_early=True,
         )
-        return records, preds, targets, report
+        return records, preds, report
 
     def test_writes_all_tables(self, tmp_path):
-        records, preds, targets, report = self.sample_inputs()
-        files = emit_plot_data(
-            tmp_path,
-            train_report=report,
-            predictions=preds,
-            targets=targets,
-            by_n=stratify(records, preds, "by-n"),
-            by_load=stratify(records, preds, "by-load"),
-            by_heterog=stratify(records, preds, "by-heterogeneity"),
-            residual=residual_analysis(preds, targets),
-        )
+        records, preds, report = self.sample_inputs()
+        files = emit_plot_data(tmp_path, records, preds, train_report=report)
         names = {f.name for f in files}
         assert names == {
             "loss_curves.csv",
@@ -232,29 +224,25 @@ class TestEmitPlotData:
         }
 
     def test_loss_curve_rows_match_epochs(self, tmp_path):
-        _, _, _, report = self.sample_inputs()
-        (path,) = emit_plot_data(tmp_path, train_report=report)
-        lines = path.read_text().splitlines()
+        records, preds, report = self.sample_inputs()
+        files = emit_plot_data(tmp_path, records, preds, train_report=report)
+        assert files[0].name == "loss_curves.csv"
+        lines = files[0].read_text().splitlines()
         assert len(lines) == 1 + report.epochs_run
+        assert "loss_curves.csv" not in {f.name for f in emit_plot_data(tmp_path / "none", records, preds)}
 
     def test_histogram_counts_sum_to_samples(self, tmp_path):
-        records, preds, targets, _ = self.sample_inputs()
-        emit_plot_data(tmp_path, predictions=preds, targets=targets)
+        records, preds, _ = self.sample_inputs()
+        emit_plot_data(tmp_path, records, preds)
         for name in ("error_hist.csv", "pct_error_hist.csv"):
             rows = (tmp_path / name).read_text().splitlines()[1:]
-            assert sum(int(r.split(",")[2]) for r in rows) == len(targets)
+            assert sum(int(r.split(",")[2]) for r in rows) == len(records)
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        records, preds, targets, report = self.sample_inputs()
-        kwargs = dict(
-            train_report=report,
-            predictions=preds,
-            targets=targets,
-            by_n=stratify(records, preds, "by-n"),
-            residual=residual_analysis(preds, targets),
-        )
+        records, preds, report = self.sample_inputs()
         d1, d2 = tmp_path / "one", tmp_path / "two"
-        emit_plot_data(d1, **kwargs)
-        emit_plot_data(d2, **kwargs)
+        emit_plot_data(d1, records, preds, train_report=report)
+        emit_plot_data(d2, records, preds, train_report=report)
+        assert len(list(d1.iterdir())) == 8
         for f in sorted(d1.iterdir()):
             assert f.read_bytes() == (d2 / f.name).read_bytes()

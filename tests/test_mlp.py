@@ -18,14 +18,18 @@ from dltsched.mlp import (
     load_model,
     loss_mse,
     predict,
+    predict_features,
     save_model,
     train,
 )
-from dltsched.solver import SltnConfig
+from dltsched.solver import SltnConfig, solve_optimal, to_time_rates
+
+from conftest import constant_model
 
 IDENTITY_NORM = datagen.NormalizationStats(
     feature_means=(0.0,) * 16, feature_stds=(1.0,) * 16, target_mean=0.0, target_std=1.0
 )
+TOY_META = {"compute_intensity": 100.0}
 
 
 def zero_params(layer_dims):
@@ -256,9 +260,9 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets()
-        cfg = TrainConfig(max_epochs=4, patience=10, seed=5, batch_size=32)
-        m1, r1 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM)
-        m2, r2 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM)
+        cfg = TrainConfig(max_epochs=4, patience=10, seed=5, batch_size=32, dropout_p=0.2)
+        m1, r1 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        m2, r2 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
         assert (r1.best_epoch, r1.epochs_run) == (r2.best_epoch, r2.epochs_run)
@@ -268,7 +272,7 @@ class TestTrain:
     def test_returns_best_epoch_params(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=3)
         cfg = TrainConfig(max_epochs=12, patience=3, seed=1, batch_size=32, dropout_p=0.5)
-        model, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM)
+        model, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert report.best_val_loss == min(report.val_losses)
         assert report.val_losses[report.best_epoch - 1] == report.best_val_loss
         preds, _ = forward(model.params, x_val)
@@ -277,7 +281,7 @@ class TestTrain:
     def test_patience_one_stops_at_first_rise(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=9, count=128)
         cfg = TrainConfig(max_epochs=50, patience=1, seed=2, batch_size=16, dropout_p=0.6)
-        _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM)
+        _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert report.stopped_early
         # Every epoch before the stop improved; the stopping epoch did not.
         assert report.best_epoch == report.epochs_run - 1
@@ -288,7 +292,7 @@ class TestTrain:
     def test_epoch_cap(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=4, count=64)
         cfg = TrainConfig(max_epochs=3, patience=50, seed=0, batch_size=16)
-        _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM)
+        _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert report.epochs_run == 3
         assert not report.stopped_early
 
@@ -299,12 +303,53 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e80, max_epochs=40, patience=40, seed=0, batch_size=16)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as exc:
-                train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM)
+                train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert exc.value.epoch >= 1
+
+    def test_raw_rows_match_hand_normalized_rows(self):
+        # train z-scores its raw inputs with norm; doing that by hand and
+        # training under the identity norm must give the same bits.
+        x_tr, y_tr, x_val, y_val = self.toy_sets(seed=7)
+        x_tr, x_val = x_tr * 40.0 + 3.0, x_val * 40.0 + 3.0
+        y_tr, y_val = y_tr * 900.0 + 2500.0, y_val * 900.0 + 2500.0
+        norm = datagen.NormalizationStats(
+            feature_means=tuple(x_tr.mean(axis=0)),
+            feature_stds=tuple(x_tr.std(axis=0)),
+            target_mean=float(y_tr.mean()),
+            target_std=float(y_tr.std()),
+        )
+        means, stds = np.array(norm.feature_means), np.array(norm.feature_stds)
+        cfg = TrainConfig(max_epochs=3, seed=4, batch_size=32)
+        raw_model, raw_report = train(x_tr, y_tr, x_val, y_val, cfg, norm, metadata=TOY_META)
+        hand_model, hand_report = train(
+            (x_tr - means) / stds,
+            (y_tr - norm.target_mean) / norm.target_std,
+            (x_val - means) / stds,
+            (y_val - norm.target_mean) / norm.target_std,
+            cfg,
+            IDENTITY_NORM,
+            metadata=TOY_META,
+        )
+        assert raw_model.norm == norm
+        assert raw_report.train_losses == hand_report.train_losses
+        assert raw_report.val_losses == hand_report.val_losses
+        for a, b in zip(
+            [*raw_model.params.weights, *raw_model.params.biases],
+            [*hand_model.params.weights, *hand_model.params.biases],
+        ):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_empty_sets(self):
         with pytest.raises(InvalidInputError):
-            train(np.zeros((0, 16)), np.zeros(0), np.zeros((1, 16)), np.zeros(1), TrainConfig(), IDENTITY_NORM)
+            train(
+                np.zeros((0, 16)), np.zeros(0), np.zeros((1, 16)), np.zeros(1), TrainConfig(), IDENTITY_NORM, TOY_META
+            )
+
+    def test_rejects_metadata_without_compute_intensity(self):
+        # The intensity bounds every answer; a guessed one would move them.
+        x_tr, y_tr, x_val, y_val = self.toy_sets(count=16)
+        with pytest.raises(InvalidInputError, match="compute_intensity"):
+            train(x_tr, y_tr, x_val, y_val, TrainConfig(max_epochs=1), IDENTITY_NORM, metadata={"train_seed": 0})
 
 
 class TestModelBundle:
@@ -368,6 +413,19 @@ class TestModelBundle:
         with pytest.raises(FileFormatError):
             load_model(path)
 
+    def test_rejects_bundle_without_compute_intensity(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(path, self.small_model())
+        obj = json.loads(path.read_text())
+        del obj["metadata"]["compute_intensity"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match="compute_intensity"):
+            load_model(path)
+        with pytest.raises(InvalidInputError, match="compute_intensity"):
+            MlpModel(params=init_params(0), norm=IDENTITY_NORM).compute_intensity
+
     def test_nondefault_architecture_not_bundlable(self, tmp_path):
         model = MlpModel(params=init_params(0, (16, 4, 1)), norm=IDENTITY_NORM)
         with pytest.raises(InvalidInputError):
@@ -381,3 +439,24 @@ class TestPredict:
             n=4, root_speed=5.0, child_speeds=(2.0, 4.0, 8.0, 14.0), link_bandwidths=(20.0, 40.0, 90.0, 140.0), load_gb=60.0
         )
         assert predict(model, config) == predict(model, config)
+
+    def test_negative_output_is_raised_to_compute_bound(self):
+        model = constant_model(-5.0, compute_intensity=10_000.0)
+        config = SltnConfig(
+            n=3, root_speed=9.0, child_speeds=(3.0, 6.0, 12.0), link_bandwidths=(40.0, 80.0, 120.0), load_gb=2.0
+        )
+        f = datagen.extract_features(config)
+        bound = 10_000.0 * f.load_gb / (f.w0 + f.n * f.mean_w)
+        assert predict(model, config) == bound
+        assert bound == pytest.approx(10_000.0 * 2.0 / 30.0, rel=1e-12)
+        assert bound <= solve_optimal(to_time_rates(config, 10_000.0), config.load_gb).t_star
+        assert predict(constant_model(1e9, compute_intensity=10_000.0), config) == 1e9
+
+    def test_predict_agrees_with_predict_features(self):
+        configs = [datagen.sample_config(datagen.record_rng(13, i)) for i in range(40)]
+        rows = np.array([datagen.extract_features(c).as_array() for c in configs])
+        for model in (TestModelBundle.small_model(), constant_model(-5.0, compute_intensity=100.0)):
+            batched = predict_features(model, rows)
+            assert np.all(batched > 0)
+            singles = [predict(model, c) for c in configs]
+            np.testing.assert_allclose(singles, batched, rtol=1e-12)
