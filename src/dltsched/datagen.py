@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,22 @@ class NormalizationStats:
         if any(s <= 0 for s in self.feature_stds) or self.target_std <= 0:
             raise ConstantFeatureError("every standard deviation must be positive")
 
+    @cached_property
+    def mean_array(self) -> np.ndarray:
+        """``feature_means`` as a read-only array, built once per instance."""
+        return _read_only(self.feature_means)
+
+    @cached_property
+    def std_array(self) -> np.ndarray:
+        """``feature_stds`` as a read-only array, built once per instance."""
+        return _read_only(self.feature_stds)
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
 
 def record_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-record generator; counter-based so parallel and serial
@@ -156,30 +174,39 @@ def sample_config(rng: np.random.Generator, ranges: SamplerRanges = SamplerRange
 
 
 def extract_features(config: SltnConfig) -> FeatureVector:
-    """Summarize a variable-size configuration into the fixed feature vector."""
-    speeds = np.asarray(config.child_speeds)
-    bws = np.asarray(config.link_bandwidths)
-    mean_w = float(speeds.mean())
-    std_w = float(speeds.std())
-    mean_z = float(bws.mean())
-    std_z = float(bws.std())
+    """Summarize a variable-size configuration into the fixed feature vector.
+
+    Plain Python over the config's tuples: at most a few dozen floats, where
+    numpy's per-call overhead would cost more than the arithmetic. Sums use
+    ``math.fsum``, so means and standard deviations are correctly rounded
+    sums divided by ``n``.
+    """
+    speeds = config.child_speeds
+    bws = config.link_bandwidths
+    n = len(speeds)
+    mean_w = math.fsum(speeds) / n
+    std_w = math.sqrt(math.fsum([(v - mean_w) ** 2 for v in speeds]) / n)
+    mean_z = math.fsum(bws) / n
+    std_z = math.sqrt(math.fsum([(v - mean_z) ** 2 for v in bws]) / n)
+    min_w, max_w = float(min(speeds)), float(max(speeds))
+    min_z, max_z = float(min(bws)), float(max(bws))
     return FeatureVector(
         n=float(config.n),
         load_gb=config.load_gb,
         mean_w=mean_w,
         std_w=std_w,
-        min_w=float(speeds.min()),
-        max_w=float(speeds.max()),
+        min_w=min_w,
+        max_w=max_w,
         mean_z=mean_z,
         std_z=std_z,
-        min_z=float(bws.min()),
-        max_z=float(bws.max()),
+        min_z=min_z,
+        max_z=max_z,
         w0=config.root_speed,
         comp_comm_ratio=mean_w / mean_z,
         cv_w=std_w / mean_w,
         cv_z=std_z / mean_z,
-        heterog_w=float(speeds.max() / speeds.min()),
-        heterog_z=float(bws.max() / bws.min()),
+        heterog_w=max_w / min_w,
+        heterog_z=max_z / min_z,
     )
 
 
@@ -278,7 +305,7 @@ def fit_normalization(train: list[DatasetRecord]) -> NormalizationStats:
 def apply_normalization(stats: NormalizationStats, features, target=None):
     """Z-score features (array of shape (..., 16)); also the target when
     given. Inverse of :func:`denormalize_target` on the target."""
-    x = (np.asarray(features, dtype=float) - np.array(stats.feature_means)) / np.array(stats.feature_stds)
+    x = (np.asarray(features, dtype=float) - stats.mean_array) / stats.std_array
     if target is None:
         return x
     y = (np.asarray(target, dtype=float) - stats.target_mean) / stats.target_std
@@ -357,24 +384,29 @@ def load_dataset(path) -> tuple[DatasetHeader, list[DatasetRecord]]:
         head = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(head, dict):
+        raise FileFormatError(f"{path}: malformed header: not a JSON object")
     if head.get("format") != DATASET_FORMAT:
         raise FileFormatError(f"{path}: not a dataset file (format={head.get('format')!r})")
     if head.get("version") != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported dataset version {head.get('version')!r}")
-    ranges = SamplerRanges(
-        n_range=tuple(int(v) for v in head["ranges"]["n"]),
-        load_range=tuple(float(v) for v in head["ranges"]["load_gb"]),
-        speed_range=tuple(float(v) for v in head["ranges"]["speed"]),
-        bandwidth_range=tuple(float(v) for v in head["ranges"]["bandwidth"]),
-    )
-    header = DatasetHeader(
-        version=int(head["version"]),
-        seed=int(head["seed"]),
-        count=int(head["count"]),
-        ranges=ranges,
-        compute_intensity=float(head["compute_intensity"]),
-        std_convention=str(head["std_convention"]),
-    )
+    try:
+        ranges = SamplerRanges(
+            n_range=tuple(int(v) for v in head["ranges"]["n"]),
+            load_range=tuple(float(v) for v in head["ranges"]["load_gb"]),
+            speed_range=tuple(float(v) for v in head["ranges"]["speed"]),
+            bandwidth_range=tuple(float(v) for v in head["ranges"]["bandwidth"]),
+        )
+        header = DatasetHeader(
+            version=int(head["version"]),
+            seed=int(head["seed"]),
+            count=int(head["count"]),
+            ranges=ranges,
+            compute_intensity=float(head["compute_intensity"]),
+            std_convention=str(head["std_convention"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed header: {exc}") from exc
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -159,12 +159,13 @@ def forward(
     out = None
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         if k == last:
             out = z[:, 0]
             break
         mask = z > 0
-        h = np.where(mask, z, 0.0)
+        h = np.maximum(z, 0.0, out=z)  # ReLU in place; z is this pass's own buffer
         relu_masks.append(mask)
         if dropout_p > 0 and k == 0:
             keep = (rng.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
@@ -202,10 +203,10 @@ def backward(params: MlpParams, cache: ForwardCache, residuals) -> MlpGrads:
         d_weights[k] = dout.T @ cache.inputs[k]
         d_biases[k] = dout.sum(axis=0)
         if k > 0:
-            dh = dout @ params.weights[k]
+            dout = dout @ params.weights[k]
             if cache.drop_masks[k - 1] is not None:
-                dh = dh * cache.drop_masks[k - 1]
-            dout = dh * cache.relu_masks[k - 1]
+                dout *= cache.drop_masks[k - 1]
+            dout *= cache.relu_masks[k - 1]
     return MlpGrads(d_weights, d_biases)
 
 
@@ -398,8 +399,9 @@ def load_model(path) -> MlpModel:
         raise FileFormatError(f"{path}: not a model bundle")
     if obj.get("version") != MODEL_VERSION:
         raise FileFormatError(f"{path}: unsupported model version {obj.get('version')!r}")
-    if tuple(obj.get("layer_dims", ())) != DEFAULT_LAYER_DIMS:
-        raise FileFormatError(f"{path}: unexpected layer dimensions {obj.get('layer_dims')!r}")
+    layer_dims = obj.get("layer_dims")
+    if not isinstance(layer_dims, list) or tuple(layer_dims) != DEFAULT_LAYER_DIMS:
+        raise FileFormatError(f"{path}: unexpected layer dimensions {layer_dims!r}")
     try:
         weights = [np.array(w, dtype=float) for w in obj["weights"]]
         biases = [np.array(b, dtype=float) for b in obj["biases"]]

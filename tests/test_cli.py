@@ -161,6 +161,20 @@ class TestTrainCommand:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda head: {k: v for k, v in head.items() if k != "ranges"}, lambda head: [1, 2]],
+        ids=["header-without-ranges", "header-is-list"],
+    )
+    def test_malformed_dataset_header_is_data_error(self, capsys, tmp_path, tiny_pipeline, edit):
+        lines = tiny_pipeline["data"].read_text().splitlines()
+        lines[0] = json.dumps(edit(json.loads(lines[0])))
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ") and "malformed header" in err
+
 
 class TestEvaluateCommand:
     def test_machine_metrics(self, capsys, tiny_pipeline):
@@ -237,6 +251,21 @@ class TestPredictCommand:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
         assert isinstance(json.loads(out1)["t_star_s"], float)
+
+    def test_malformed_layer_dims_is_data_error(self, capsys, tmp_path, tiny_pipeline):
+        bundle = json.loads(tiny_pipeline["model"].read_text())
+        bundle["layer_dims"] = 5
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(bundle))
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--model", str(bad),
+            "--root-speed", "10", "--load-gb", "50",
+            "--child", "5:100",
+        )
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ") and "layer dimensions" in err
 
 
 class TestHybrid:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dltsched import datagen
 from dltsched.datagen import (
@@ -24,6 +26,20 @@ from dltsched.solver import SltnConfig, oracle_solve, to_time_rates
 
 def make_config(n, speeds, bws, root=5.0, load=10.0):
     return SltnConfig(n=n, root_speed=root, child_speeds=tuple(speeds), link_bandwidths=tuple(bws), load_gb=load)
+
+
+@st.composite
+def wide_configs(draw):
+    """Systems of 1-40 children with speeds and bandwidths over 0.01-1e3."""
+    n = draw(st.integers(1, 40))
+    value = st.floats(0.01, 1e3)
+    return make_config(
+        n,
+        draw(st.lists(value, min_size=n, max_size=n)),
+        draw(st.lists(value, min_size=n, max_size=n)),
+        root=draw(value),
+        load=draw(value),
+    )
 
 
 class TestSampleConfig:
@@ -73,6 +89,27 @@ class TestExtractFeatures:
         arr = f.as_array()
         assert arr.shape == (16,)
         assert arr[0] == 3.0 and arr[1] == 42.0 and arr[10] == 7.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wide_configs())
+    def test_matches_numpy_reference(self, config):
+        # extract_features sums in plain Python with math.fsum; numpy's
+        # pairwise sums may differ from it in the last bit. Standard
+        # deviations can cancel to nearly zero, so they and the coefficients
+        # of variation are held to 1e-12 of the mean, not of themselves.
+        f = extract_features(config)
+        for prefix, values in (("w", config.child_speeds), ("z", config.link_bandwidths)):
+            arr = np.array(values)
+            mean, std = float(np.mean(arr)), float(np.std(arr, ddof=0))
+            assert getattr(f, f"mean_{prefix}") == pytest.approx(mean, rel=1e-12)
+            assert getattr(f, f"std_{prefix}") == pytest.approx(std, rel=0, abs=1e-12 * mean)
+            assert getattr(f, f"cv_{prefix}") == pytest.approx(std / mean, rel=0, abs=1e-12)
+            assert (getattr(f, f"min_{prefix}"), getattr(f, f"max_{prefix}")) == (min(values), max(values))
+            assert getattr(f, f"heterog_{prefix}") == max(values) / min(values)
+        ratio = np.mean(config.child_speeds) / np.mean(config.link_bandwidths)
+        assert f.comp_comm_ratio == pytest.approx(ratio, rel=1e-12)
+        assert (f.n, f.load_gb, f.w0) == (config.n, config.load_gb, config.root_speed)
+        assert list(f.as_array()) == [getattr(f, name) for name in datagen.FEATURE_NAMES]
 
 
 class TestGenerateDataset:
@@ -176,6 +213,18 @@ class TestNormalization:
             stats, np.array(stats.feature_means) + np.array(stats.feature_stds)
         )
         np.testing.assert_allclose(one_up, 1.0, rtol=1e-12)
+
+    def test_stats_arrays_are_cached_and_read_only(self):
+        stats = fit_normalization(generate_dataset(60, seed=6))
+        assert stats.mean_array is stats.mean_array and stats.std_array is stats.std_array
+        assert tuple(stats.mean_array) == stats.feature_means
+        assert tuple(stats.std_array) == stats.feature_stds
+        for arr in (stats.mean_array, stats.std_array):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert stats == datagen.NormalizationStats(
+            stats.feature_means, stats.feature_stds, stats.target_mean, stats.target_std
+        )
 
     def test_constant_feature_rejected(self):
         cfg = make_config(3, [2.0, 4.0, 6.0], [10.0, 20.0, 30.0])

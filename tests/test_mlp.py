@@ -87,6 +87,42 @@ class TestForward:
         preds, _ = forward(params, np.full((2, 16), 3.0))
         np.testing.assert_allclose(preds, 0.75)
 
+    def test_relu_matches_where_reference(self):
+        # The in-place ReLU must give the bits of np.where(z > 0, z, 0.0),
+        # zero pre-activations included: zero rows under zero biases and a
+        # hidden unit whose weights are all zero.
+        params = init_params(3)
+        params.weights[1][5] = 0.0
+        x = np.random.default_rng(4).normal(size=(64, 16))
+        x[::7] = 0.0
+        out, cache = forward(params, x)
+        h = x
+        ref_inputs, ref_masks = [], []
+        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+            ref_inputs.append(h)
+            z = h @ w.T + b
+            if k == len(params.weights) - 1:
+                ref_out = z[:, 0]
+                break
+            ref_masks.append(z > 0)
+            h = np.where(z > 0, z, 0.0)
+        assert not ref_masks[0][::7].any() and not ref_masks[1][:, 5].any()
+        assert out.tobytes() == ref_out.tobytes()
+        assert len(cache.relu_masks) == len(ref_masks)
+        for got, ref in zip(cache.relu_masks, ref_masks):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(cache.inputs, ref_inputs):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_caller_input_unchanged(self):
+        params = init_params(2)
+        x = np.random.default_rng(5).normal(size=(8, 16))
+        before = x.copy()
+        forward(params, x)
+        forward(params, x[0])
+        forward(params, x, dropout_p=0.3, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(x, before)
+
     def test_dropout_requires_rng(self):
         with pytest.raises(InvalidInputError):
             forward(init_params(0), np.zeros((1, 16)), dropout_p=0.2)
@@ -339,6 +375,17 @@ class TestTrain:
         ):
             np.testing.assert_array_equal(a, b)
 
+    def test_caller_arrays_unchanged(self):
+        sets = self.toy_sets(seed=8, count=64)
+        before = [a.copy() for a in sets]
+        norm = datagen.NormalizationStats(
+            feature_means=(0.5,) * 16, feature_stds=(2.0,) * 16, target_mean=0.1, target_std=3.0
+        )
+        train(*sets, TrainConfig(max_epochs=2, batch_size=16), norm, metadata=TOY_META)
+        train(*sets, TrainConfig(max_epochs=2, batch_size=16), IDENTITY_NORM, metadata=TOY_META)
+        for a, b in zip(sets, before):
+            np.testing.assert_array_equal(a, b)
+
     def test_rejects_empty_sets(self):
         with pytest.raises(InvalidInputError):
             train(
@@ -426,6 +473,18 @@ class TestModelBundle:
         with pytest.raises(InvalidInputError, match="compute_intensity"):
             MlpModel(params=init_params(0), norm=IDENTITY_NORM).compute_intensity
 
+    @pytest.mark.parametrize("layer_dims", [5, None, "16,128,64,32,1"], ids=["number", "null", "string"])
+    def test_rejects_malformed_layer_dims(self, tmp_path, layer_dims):
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(path, self.small_model())
+        obj = json.loads(path.read_text())
+        obj["layer_dims"] = layer_dims
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match="layer dimensions"):
+            load_model(path)
+
     def test_nondefault_architecture_not_bundlable(self, tmp_path):
         model = MlpModel(params=init_params(0, (16, 4, 1)), norm=IDENTITY_NORM)
         with pytest.raises(InvalidInputError):
@@ -460,3 +519,13 @@ class TestPredict:
             assert np.all(batched > 0)
             singles = [predict(model, c) for c in configs]
             np.testing.assert_allclose(singles, batched, rtol=1e-12)
+
+    def test_caller_rows_unchanged(self):
+        configs = [datagen.sample_config(datagen.record_rng(17, i)) for i in range(20)]
+        rows = np.array([datagen.extract_features(c).as_array() for c in configs])
+        before = rows.copy()
+        model = TestModelBundle.small_model()
+        predict_features(model, rows)
+        predict_features(model, rows[0])
+        predict_features(constant_model(-5.0, compute_intensity=100.0), rows)
+        np.testing.assert_array_equal(rows, before)
