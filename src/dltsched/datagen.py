@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,27 +24,6 @@ from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_tim
 
 DATASET_FORMAT = "dltsched-dataset"
 FORMAT_VERSION = 1
-
-# Canonical feature order; model files are meaningless without it.
-FEATURE_NAMES = (
-    "n",
-    "load_gb",
-    "mean_w",
-    "std_w",
-    "min_w",
-    "max_w",
-    "mean_z",
-    "std_z",
-    "min_z",
-    "max_z",
-    "w0",
-    "comp_comm_ratio",
-    "cv_w",
-    "cv_z",
-    "heterog_w",
-    "heterog_z",
-)
-N_FEATURES = len(FEATURE_NAMES)
 
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
@@ -70,14 +50,14 @@ class SamplerRanges:
                 raise InvalidInputError(f"{name} must satisfy 0 < min <= max, got ({lo}, {hi})")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 16 summary features describing one configuration.
+class FeatureVector(NamedTuple):
+    """The 16 summary features describing one configuration, in canonical
+    order; model files are meaningless without that order.
 
     Speed statistics (mean_w .. max_w, w0) are GFLOPS/s over the child
     speeds, bandwidth statistics (mean_z .. max_z) MB/s over the links; the
     root speed is its own feature and excluded from the child statistics.
-    Standard deviations are population (divisor n).
+    Standard deviations are population (divisor n). Every field is a float.
     """
 
     n: float
@@ -98,7 +78,11 @@ class FeatureVector:
     heterog_z: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
+        return np.array(self, dtype=float)
+
+
+FEATURE_NAMES = FeatureVector._fields
+N_FEATURES = len(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -130,8 +114,10 @@ class NormalizationStats:
     def __post_init__(self):
         if len(self.feature_means) != N_FEATURES or len(self.feature_stds) != N_FEATURES:
             raise InvalidInputError(f"expected {N_FEATURES} feature statistics")
-        if any(s <= 0 for s in self.feature_stds) or self.target_std <= 0:
-            raise ConstantFeatureError("every standard deviation must be positive")
+        if not all(map(math.isfinite, (*self.feature_means, self.target_mean))):
+            raise InvalidInputError("every mean must be finite")
+        if any(not 0 < s < math.inf for s in (*self.feature_stds, self.target_std)):
+            raise ConstantFeatureError("every standard deviation must be positive and finite")
 
     @cached_property
     def mean_array(self) -> np.ndarray:
@@ -167,8 +153,8 @@ def sample_config(rng: np.random.Generator, ranges: SamplerRanges = SamplerRange
     return SltnConfig(
         n=n,
         root_speed=root_speed,
-        child_speeds=tuple(float(s) for s in child_speeds),
-        link_bandwidths=tuple(float(b) for b in bandwidths),
+        child_speeds=tuple(child_speeds.tolist()),
+        link_bandwidths=tuple(bandwidths.tolist()),
         load_gb=load,
     )
 
@@ -191,22 +177,22 @@ def extract_features(config: SltnConfig) -> FeatureVector:
     min_w, max_w = float(min(speeds)), float(max(speeds))
     min_z, max_z = float(min(bws)), float(max(bws))
     return FeatureVector(
-        n=float(config.n),
-        load_gb=config.load_gb,
-        mean_w=mean_w,
-        std_w=std_w,
-        min_w=min_w,
-        max_w=max_w,
-        mean_z=mean_z,
-        std_z=std_z,
-        min_z=min_z,
-        max_z=max_z,
-        w0=config.root_speed,
-        comp_comm_ratio=mean_w / mean_z,
-        cv_w=std_w / mean_w,
-        cv_z=std_z / mean_z,
-        heterog_w=max_w / min_w,
-        heterog_z=max_z / min_z,
+        float(config.n),
+        float(config.load_gb),
+        mean_w,
+        std_w,
+        min_w,
+        max_w,
+        mean_z,
+        std_z,
+        min_z,
+        max_z,
+        float(config.root_speed),
+        mean_w / mean_z,
+        std_w / mean_w,
+        std_z / mean_z,
+        max_w / min_w,
+        max_z / min_z,
     )
 
 
@@ -275,7 +261,7 @@ def split_dataset(
 
 
 def feature_matrix(records: list[DatasetRecord]) -> np.ndarray:
-    return np.array([rec.features.as_array() for rec in records], dtype=float)
+    return np.array([rec.features for rec in records], dtype=float)
 
 
 def target_array(records: list[DatasetRecord]) -> np.ndarray:
@@ -330,8 +316,8 @@ def _config_from_json(obj: dict) -> SltnConfig:
     return SltnConfig(
         n=int(obj["n"]),
         root_speed=float(obj["root_speed"]),
-        child_speeds=tuple(float(s) for s in obj["child_speeds"]),
-        link_bandwidths=tuple(float(b) for b in obj["link_bandwidths"]),
+        child_speeds=tuple(map(float, obj["child_speeds"])),
+        link_bandwidths=tuple(map(float, obj["link_bandwidths"])),
         load_gb=float(obj["load_gb"]),
     )
 
@@ -339,8 +325,9 @@ def _config_from_json(obj: dict) -> SltnConfig:
 def save_dataset(path, records: list[DatasetRecord], header: DatasetHeader) -> None:
     """Write header plus one JSON record per line. Identical inputs produce
     byte-identical files."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = [
-        json.dumps(
+        encode(
             {
                 "format": DATASET_FORMAT,
                 "version": header.version,
@@ -354,20 +341,12 @@ def save_dataset(path, records: list[DatasetRecord], header: DatasetHeader) -> N
                 },
                 "compute_intensity": header.compute_intensity,
                 "std_convention": header.std_convention,
-            },
-            separators=(",", ":"),
+            }
         )
     ]
     for rec in records:
         lines.append(
-            json.dumps(
-                {
-                    "config": _config_to_json(rec.config),
-                    "features": [float(v) for v in rec.features.as_array()],
-                    "t_star": rec.t_star,
-                },
-                separators=(",", ":"),
-            )
+            encode({"config": _config_to_json(rec.config), "features": list(rec.features), "t_star": rec.t_star})
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -407,6 +386,10 @@ def load_dataset(path) -> tuple[DatasetHeader, list[DatasetRecord]]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
+    if not 0 < header.compute_intensity < math.inf:
+        raise FileFormatError(
+            f"{path}: compute_intensity must be positive and finite, got {header.compute_intensity!r}"
+        )
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -414,11 +397,15 @@ def load_dataset(path) -> tuple[DatasetHeader, list[DatasetRecord]]:
         try:
             obj = json.loads(line)
             config = _config_from_json(obj["config"])
-            values = (float(v) for v in obj["features"])
-            features = FeatureVector(**dict(zip(FEATURE_NAMES, values, strict=True)))
-            records.append(DatasetRecord(config=config, features=features, t_star=float(obj["t_star"])))
+            features = FeatureVector._make(map(float, obj["features"]))
+            t_star = float(obj["t_star"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if not 0 < t_star < math.inf:
+            raise FileFormatError(f"{path}:{lineno}: t_star must be positive and finite, got {t_star!r}")
+        if not all(map(math.isfinite, features)):
+            raise FileFormatError(f"{path}:{lineno}: non-finite feature in {list(features)}")
+        records.append(DatasetRecord(config=config, features=features, t_star=t_star))
     if len(records) != header.count:
         raise FileFormatError(f"{path}: header says {header.count} records, found {len(records)}")
     return header, records

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import FEATURE_NAMES, NormalizationStats, apply_normalization, denormalize_target, extract_features
-from .errors import FileFormatError, InvalidInputError, TrainingDivergedError
+from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, TrainingDivergedError
 from .solver import SltnConfig
 
 MODEL_FORMAT = "dltsched-model"
@@ -33,35 +33,72 @@ _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_
 
 
 @dataclass
-class MlpParams:
-    """Layer weights and biases; weights[k] has shape (dims[k+1], dims[k])."""
+class _LayerArrays:
+    """Per-layer weights and biases, all views of one float64 buffer ``flat``.
+
+    ``flat`` holds every weight matrix, then every bias vector, each in C
+    order, so an optimizer updates all of them with whole-buffer operations.
+    Arrays passed to the constructor are copied into a fresh buffer.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        self._bind(np.concatenate([a.ravel() for a in (*self.weights, *self.biases)]), self)
+
+    def _bind(self, flat: np.ndarray, like: "_LayerArrays") -> None:
+        """Make ``flat`` the buffer and the arrays consecutive views of it,
+        shaped like ``like``'s arrays."""
+        views = []
+        start = 0
+        for a in (*like.weights, *like.biases):
+            stop = start + a.size
+            views.append(flat[start:stop].reshape(a.shape))
+            start = stop
+        n_weights = len(like.weights)
+        self.flat, self.weights, self.biases = flat, views[:n_weights], views[n_weights:]
+
+    @classmethod
+    def _on_buffer(cls, flat: np.ndarray, like: "_LayerArrays"):
+        """An instance whose arrays are views of ``flat``, shaped like ``like``'s."""
+        obj = cls.__new__(cls)
+        obj._bind(flat, like)
+        return obj
+
+
+@dataclass
+class MlpParams(_LayerArrays):
+    """Layer weights and biases; weights[k] has shape (dims[k+1], dims[k])."""
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
     def param_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpParams._on_buffer(self.flat.copy(), self)
 
 
 @dataclass
-class MlpGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class MlpGrads(_LayerArrays):
+    """Gradients laid out like the parameters they belong to."""
 
 
 @dataclass
 class ForwardCache:
-    """Activations and masks from one forward pass, consumed by backward()."""
+    """Activations from one forward pass, consumed by backward().
+
+    backward() takes each ReLU's mask as ``inputs[k] > 0``. Where dropout
+    zeroed an active unit, its keep mask zeroes the gradient anyway.
+    """
 
     inputs: list[np.ndarray]  # activation fed into each layer
-    relu_masks: list[np.ndarray]  # pre-activation > 0, per hidden layer
     drop_masks: list[np.ndarray | None]  # scaled keep masks, per hidden layer
 
 
@@ -153,7 +190,6 @@ def forward(
         raise InvalidInputError("dropout requires a random generator")
     h = np.atleast_2d(np.asarray(x, dtype=float))
     inputs: list[np.ndarray] = []
-    relu_masks: list[np.ndarray] = []
     drop_masks: list[np.ndarray | None] = []
     last = len(params.weights) - 1
     out = None
@@ -164,16 +200,14 @@ def forward(
         if k == last:
             out = z[:, 0]
             break
-        mask = z > 0
         h = np.maximum(z, 0.0, out=z)  # ReLU in place; z is this pass's own buffer
-        relu_masks.append(mask)
         if dropout_p > 0 and k == 0:
             keep = (rng.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
             h = h * keep
             drop_masks.append(keep)
         else:
             drop_masks.append(None)
-    return out, ForwardCache(inputs=inputs, relu_masks=relu_masks, drop_masks=drop_masks)
+    return out, ForwardCache(inputs=inputs, drop_masks=drop_masks)
 
 
 def loss_mse(predictions, targets) -> float:
@@ -196,18 +230,22 @@ def backward(params: MlpParams, cache: ForwardCache, residuals) -> MlpGrads:
     residuals = np.asarray(residuals, dtype=float)
     batch = residuals.shape[0]
     dout = (2.0 / batch) * residuals[:, None]
-    n_layers = len(params.weights)
-    d_weights: list[np.ndarray] = [np.empty(0)] * n_layers
-    d_biases: list[np.ndarray] = [np.empty(0)] * n_layers
-    for k in range(n_layers - 1, -1, -1):
-        d_weights[k] = dout.T @ cache.inputs[k]
-        d_biases[k] = dout.sum(axis=0)
+    grads = MlpGrads._on_buffer(np.empty(params.flat.size), params)
+    for k in range(len(params.weights) - 1, -1, -1):
+        np.matmul(dout.T, cache.inputs[k], out=grads.weights[k])
+        dout.sum(axis=0, out=grads.biases[k])
         if k > 0:
-            dout = dout @ params.weights[k]
+            dout = _times_weights(dout, params.weights[k])
             if cache.drop_masks[k - 1] is not None:
                 dout *= cache.drop_masks[k - 1]
-            dout *= cache.relu_masks[k - 1]
-    return MlpGrads(d_weights, d_biases)
+            dout *= cache.inputs[k] > 0
+    return grads
+
+
+def _times_weights(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``dout @ w``; a one-row ``w`` makes it an outer product, which the
+    broadcast multiply computes with the same bits and no BLAS call."""
+    return dout * w if w.shape[0] == 1 else dout @ w
 
 
 def input_gradients(params: MlpParams, x) -> np.ndarray:
@@ -216,28 +254,23 @@ def input_gradients(params: MlpParams, x) -> np.ndarray:
     _, cache = forward(params, x)
     dout = np.ones((x.shape[0], 1))
     for k in range(len(params.weights) - 1, -1, -1):
-        dout = dout @ params.weights[k]
+        dout = _times_weights(dout, params.weights[k])
         if k > 0:
-            dout = dout * cache.relu_masks[k - 1]
+            dout *= cache.inputs[k] > 0
     return dout
 
 
 @dataclass
 class AdamState:
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    """First and second moments, laid out like ``MlpParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: MlpParams) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -249,19 +282,32 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[MlpParams, AdamState]:
-    """One Adam update with bias-corrected moments. Mutates params and state."""
+    """One Adam update with bias-corrected moments. Mutates params and state.
+
+    Works on the flat buffers, in the operation order of
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so every element gets
+    the bits a per-array update would give it.
+    """
     state.t += 1
     correct1 = 1.0 - beta1**state.t
     correct2 = 1.0 - beta2**state.t
-    for p, g, m, v in (
-        *zip(params.weights, grads.weights, state.m_weights, state.v_weights),
-        *zip(params.biases, grads.biases, state.m_biases, state.v_biases),
-    ):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    step = np.empty_like(g)
+    denom = np.empty_like(g)
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=step)
+    m += step
+    v *= beta2
+    np.square(g, out=step)
+    step *= 1.0 - beta2
+    v += step
+    np.divide(m, correct1, out=step)
+    step *= learning_rate
+    np.divide(v, correct2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params.flat -= step
     return params, state
 
 
@@ -310,11 +356,12 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n_train)
+        x_epoch, y_epoch = x_train[perm], y_train[perm]
         sq_sum = 0.0
         for start in range(0, n_train, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            preds, cache = forward(params, x_train[idx], dropout_p=config.dropout_p, rng=rng)
-            residuals = preds - y_train[idx]
+            stop = start + config.batch_size
+            preds, cache = forward(params, x_epoch[start:stop], dropout_p=config.dropout_p, rng=rng)
+            residuals = preds - y_epoch[start:stop]
             sq_sum += float(residuals @ residuals)
             grads = backward(params, cache, residuals)
             adam_step(params, grads, state, config.learning_rate)
@@ -412,21 +459,26 @@ def load_model(path) -> MlpModel:
             target_std=float(obj["norm"]["target_std"]),
         )
         metadata = dict(obj["metadata"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConstantFeatureError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
     if "compute_intensity" not in metadata:
         raise FileFormatError(f"{path}: model metadata lacks compute_intensity")
+    intensity = metadata["compute_intensity"]
+    if not (isinstance(intensity, (int, float)) and 0 < intensity < math.inf):
+        raise FileFormatError(f"{path}: compute_intensity must be a positive finite number, got {intensity!r}")
+    expected_weights = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
+    expected_biases = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
+    weight_shapes, bias_shapes = [w.shape for w in weights], [b.shape for b in biases]
+    if weight_shapes != expected_weights or bias_shapes != expected_biases:
+        raise FileFormatError(
+            f"{path}: weight shapes {weight_shapes} and bias shapes {bias_shapes} do not match "
+            f"{expected_weights} and {expected_biases}"
+        )
     params = MlpParams(weights, biases)
-    expected_shapes = [
-        (out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])
-    ]
-    actual_shapes = [w.shape for w in params.weights]
-    if actual_shapes != expected_shapes or [b.shape[0] for b in params.biases] != [
-        s[0] for s in expected_shapes
-    ]:
-        raise FileFormatError(f"{path}: weight shapes {actual_shapes} do not match {expected_shapes}")
     if params.param_count() != EXPECTED_PARAM_COUNT:
         raise FileFormatError(
             f"{path}: parameter count {params.param_count()} != {EXPECTED_PARAM_COUNT}"
         )
+    if not np.isfinite(params.flat).all():
+        raise FileFormatError(f"{path}: non-finite weight or bias")
     return MlpModel(params=params, norm=norm, metadata=metadata)

@@ -175,6 +175,27 @@ class TestTrainCommand:
         assert code == 3
         assert err.splitlines()[-1].startswith("error: ") and "malformed header" in err
 
+    @pytest.mark.parametrize(
+        "line, key, value, message",
+        [
+            (0, "compute_intensity", -1.0, "compute_intensity"),
+            (3, "t_star", -3.0, "t_star"),
+            (3, "t_star", float("nan"), "t_star"),
+            (3, "features", [float("nan")] + [1.0] * 15, "non-finite feature"),
+        ],
+        ids=["negative-intensity", "negative-t-star", "nan-t-star", "nan-feature"],
+    )
+    def test_bad_dataset_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, line, key, value, message):
+        lines = tiny_pipeline["data"].read_text().splitlines()
+        obj = json.loads(lines[line])
+        obj[key] = value
+        lines[line] = json.dumps(obj)
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ") and message in err
+
 
 class TestEvaluateCommand:
     def test_machine_metrics(self, capsys, tiny_pipeline):
@@ -266,6 +287,49 @@ class TestPredictCommand:
         )
         assert code == 3
         assert err.splitlines()[-1].startswith("error: ") and "layer dimensions" in err
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("weights", 1, 0, 3), float("nan"), "non-finite"),
+            (("biases", 3, 0), float("inf"), "non-finite"),
+            (("norm", "feature_stds", 2), float("nan"), "standard deviation"),
+            (("norm", "target_std"), float("nan"), "standard deviation"),
+            (("norm", "feature_means", 0), float("nan"), "mean"),
+            (("metadata", "compute_intensity"), "abc", "compute_intensity"),
+            (("metadata", "compute_intensity"), -5, "compute_intensity"),
+            (("metadata", "compute_intensity"), float("inf"), "compute_intensity"),
+            (("biases", 0), [[0.0]] * 128, "bias shapes"),
+        ],
+        ids=[
+            "nan-weight",
+            "inf-bias",
+            "nan-feature-std",
+            "nan-target-std",
+            "nan-feature-mean",
+            "text-intensity",
+            "negative-intensity",
+            "infinite-intensity",
+            "column-bias",
+        ],
+    )
+    def test_bad_bundle_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, where, value, message):
+        bundle = json.loads(tiny_pipeline["model"].read_text())
+        parent = bundle
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(bundle))
+        code, out, err = run(
+            capsys,
+            "predict",
+            "--model", str(bad),
+            "--root-speed", "10", "--load-gb", "50",
+            "--child", "5:100",
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1].startswith("error: ") and message in err
 
 
 class TestHybrid:

@@ -89,6 +89,11 @@ class TestExtractFeatures:
         arr = f.as_array()
         assert arr.shape == (16,)
         assert arr[0] == 3.0 and arr[1] == 42.0 and arr[10] == 7.0
+        assert datagen.FEATURE_NAMES == datagen.FeatureVector._fields
+        # Every field is a Python float, also from integer-valued inputs, so
+        # a saved dataset writes each feature as a JSON float.
+        g = extract_features(make_config(3, [2, 4, 6], [10, 20, 30], root=7, load=42))
+        assert all(type(v) is float for v in g) and g == f
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(wide_configs())

@@ -43,6 +43,53 @@ def random_batch(rng, count, dim=16):
     return rng.normal(size=(count, dim)), rng.normal(size=count)
 
 
+def reference_forward(weights, biases, x, first_drop_mask=None):
+    """Per-layer forward with an ``np.where`` ReLU; returns the output, the
+    layer inputs and the ReLU masks."""
+    h = x
+    inputs, relu_masks = [], []
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        z = h @ w.T + b
+        if k == len(weights) - 1:
+            return z[:, 0], inputs, relu_masks
+        relu_masks.append(z > 0)
+        h = np.where(z > 0, z, 0.0)
+        if k == 0 and first_drop_mask is not None:
+            h = h * first_drop_mask
+
+
+def reference_backward(weights, inputs, relu_masks, drop_masks, residuals):
+    """Per-array backpropagation of batch MSE, one fresh array per gradient."""
+    dout = (2.0 / residuals.shape[0]) * residuals[:, None]
+    d_weights, d_biases = [None] * len(weights), [None] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        d_weights[k] = dout.T @ inputs[k]
+        d_biases[k] = dout.sum(axis=0)
+        if k > 0:
+            dout = dout @ weights[k]
+            if drop_masks[k - 1] is not None:
+                dout *= drop_masks[k - 1]
+            dout *= relu_masks[k - 1]
+    return [*d_weights, *d_biases]
+
+
+def reference_adam_step(arrays, grads, ms, vs, t, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-array Adam update with bias-corrected moments, in place."""
+    correct1 = 1.0 - beta1**t
+    correct2 = 1.0 - beta2**t
+    for p, g, m, v in zip(arrays, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        p -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + eps)
+
+
+def concat_bytes(arrays):
+    return b"".join(a.tobytes() for a in arrays)
+
+
 class TestInitParams:
     def test_parameter_count(self):
         assert init_params(0).param_count() == EXPECTED_PARAM_COUNT == 12_545
@@ -90,29 +137,23 @@ class TestForward:
     def test_relu_matches_where_reference(self):
         # The in-place ReLU must give the bits of np.where(z > 0, z, 0.0),
         # zero pre-activations included: zero rows under zero biases and a
-        # hidden unit whose weights are all zero.
+        # hidden unit whose weights are all zero. backward() reads the ReLU
+        # masks back from the cached activations, so its gradients must
+        # match backpropagation through the np.where masks bit for bit.
         params = init_params(3)
         params.weights[1][5] = 0.0
         x = np.random.default_rng(4).normal(size=(64, 16))
         x[::7] = 0.0
         out, cache = forward(params, x)
-        h = x
-        ref_inputs, ref_masks = [], []
-        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-            ref_inputs.append(h)
-            z = h @ w.T + b
-            if k == len(params.weights) - 1:
-                ref_out = z[:, 0]
-                break
-            ref_masks.append(z > 0)
-            h = np.where(z > 0, z, 0.0)
+        ref_out, ref_inputs, ref_masks = reference_forward(params.weights, params.biases, x)
         assert not ref_masks[0][::7].any() and not ref_masks[1][:, 5].any()
         assert out.tobytes() == ref_out.tobytes()
-        assert len(cache.relu_masks) == len(ref_masks)
-        for got, ref in zip(cache.relu_masks, ref_masks):
-            np.testing.assert_array_equal(got, ref)
-        for got, ref in zip(cache.inputs, ref_inputs):
+        for got, ref in zip(cache.inputs, ref_inputs, strict=True):
             assert got.tobytes() == ref.tobytes()
+        residuals = out - np.random.default_rng(5).normal(size=64)
+        grads = backward(params, cache, residuals)
+        ref_grads = reference_backward(params.weights, ref_inputs, ref_masks, [None] * 3, residuals)
+        assert grads.flat.tobytes() == concat_bytes(ref_grads)
 
     def test_caller_input_unchanged(self):
         params = init_params(2)
@@ -259,7 +300,64 @@ class TestInputGradients:
                 assert abs(numeric - grads[r, c]) <= 1e-3
 
 
+class TestFlatParams:
+    def test_arrays_are_views_of_flat(self):
+        params = init_params(0, (4, 3, 1))
+        assert params.flat.size == params.param_count() == 4 * 3 + 3 + 3 + 1
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.weights[0].tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        assert params.weights[1].tolist() == [[12, 13, 14]]
+        assert params.biases[0].tolist() == [15, 16, 17] and params.biases[1].tolist() == [18]
+        params.biases[1][0] = -1.0
+        assert params.flat[-1] == -1.0
+
+    def test_copy_is_independent(self):
+        params = init_params(1, (4, 3, 1))
+        twin = params.copy()
+        assert twin.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(twin.flat, params.flat)
+        twin.weights[0][0, 0] += 1.0
+        twin.biases[0][:] = 7.0
+        assert twin.flat[0] != params.flat[0] and not params.biases[0].any()
+        assert np.shares_memory(twin.weights[0], twin.flat)
+
+    def test_hand_built_arrays_are_copied_into_flat(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([3.0])
+        params = MlpParams(weights=[w], biases=[b])
+        assert params.flat.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(params.flat, w) and not np.shares_memory(params.flat, b)
+        params.weights[0][0, 0] = 5.0
+        assert w[0, 0] == 1.0 and params.flat[0] == 5.0
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3], ids=["no-dropout", "dropout"])
+    def test_flat_update_matches_per_array_reference(self, dropout_p):
+        # 50 forward/backward/Adam steps on the flat buffers against the
+        # per-array reference: parameters, moments and every step's
+        # gradients bit-equal.
+        rng = np.random.default_rng(29)
+        params = init_params(29, (16, 8, 4, 1))
+        state = AdamState.zeros(params)
+        ref = [a.copy() for a in (*params.weights, *params.biases)]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        for step in range(1, 51):
+            x, y = random_batch(rng, 24)
+            preds, cache = forward(params, x, dropout_p=dropout_p, rng=np.random.default_rng(step))
+            ref_preds, ref_inputs, ref_masks = reference_forward(ref[:3], ref[3:], x, cache.drop_masks[0])
+            assert preds.tobytes() == ref_preds.tobytes()
+            grads = backward(params, cache, preds - y)
+            ref_grads = reference_backward(ref[:3], ref_inputs, ref_masks, cache.drop_masks, ref_preds - y)
+            assert grads.flat.tobytes() == concat_bytes(ref_grads)
+            adam_step(params, grads, state, 0.01)
+            reference_adam_step(ref, ref_grads, ref_m, ref_v, step, 0.01)
+        assert state.t == 50
+        assert params.flat.tobytes() == concat_bytes(ref)
+        assert state.m.tobytes() == concat_bytes(ref_m)
+        assert state.v.tobytes() == concat_bytes(ref_v)
+        assert (dropout_p > 0) == (cache.drop_masks[0] is not None)
+
     def test_zero_gradient_is_noop(self):
         params = init_params(0, (4, 3, 1))
         before = params.copy()
