@@ -7,8 +7,8 @@ millisecond, with a hybrid mode that verifies large predictions exactly.
 
 from .cli import HybridDecision, hybrid_predict
 from .datagen import (
+    Dataset,
     DatasetHeader,
-    DatasetRecord,
     FeatureVector,
     NormalizationStats,
     SamplerRanges,

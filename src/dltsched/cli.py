@@ -43,23 +43,16 @@ class HybridDecision:
 
 
 def hybrid_predict(
-    model: mlp.MlpModel,
-    config: solver.SltnConfig,
-    threshold: float = DEFAULT_HYBRID_THRESHOLD,
-    heterog_threshold: float | None = None,
+    model: mlp.MlpModel, config: solver.SltnConfig, threshold: float = DEFAULT_HYBRID_THRESHOLD
 ) -> HybridDecision:
     """ML estimate, exact-verified when it exceeds the confidence threshold.
 
     Above the threshold the surrogate's uncertainty is large enough that
     recomputing exactly is worth the cost, so the exact makespan is
-    returned instead. ``heterog_threshold`` optionally also triggers
-    verification for strongly imbalanced systems.
+    returned instead.
     """
     ml_estimate = mlp.predict(model, config)
-    verify = ml_estimate > threshold
-    if heterog_threshold is not None and not verify:
-        verify = datagen.extract_features(config).heterog_w > heterog_threshold
-    if verify:
+    if ml_estimate > threshold:
         alloc = solver.solve_optimal(solver.to_time_rates(config, model.compute_intensity), config.load_gb)
         return HybridDecision(
             t_star=alloc.t_star, source="dlt-verified", ml_estimate=ml_estimate, threshold=threshold
@@ -95,6 +88,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> solver.SltnConfig:
             raise InvalidInputError(f"{origin}:{lineno}: {exc}") from exc
     if root_speed is None or load_gb is None or not children:
         raise InvalidInputError(f"{origin}: need root_speed, load_gb, and at least one child line")
+    return _system(root_speed, load_gb, children)
+
+
+def _system(root_speed: float, load_gb: float, children: list[tuple[float, float]]) -> solver.SltnConfig:
+    """The configuration of a root and its (speed, bandwidth) children."""
     return solver.SltnConfig(
         n=len(children),
         root_speed=root_speed,
@@ -127,13 +125,7 @@ def _config_from_args(args) -> solver.SltnConfig:
             children.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise InvalidInputError(f"--child expects numbers, got {spec_str!r}") from exc
-    return solver.SltnConfig(
-        n=len(children),
-        root_speed=args.root_speed,
-        child_speeds=tuple(s for s, _ in children),
-        link_bandwidths=tuple(b for _, b in children),
-        load_gb=args.load_gb,
-    )
+    return _system(args.root_speed, args.load_gb, children)
 
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
@@ -203,30 +195,24 @@ def _ranges_from_args(args) -> datagen.SamplerRanges:
 def cmd_generate(args) -> int:
     ranges = _ranges_from_args(args)
     _progress(f"generating {args.count} samples with seed {args.seed}")
-    records = datagen.generate_dataset(
+    dataset = datagen.generate_dataset(
         args.count,
         args.seed,
         ranges,
         args.compute_intensity,
         progress=lambda done: _progress(f"  {done}/{args.count}"),
     )
-    header = datagen.DatasetHeader(
-        version=datagen.FORMAT_VERSION,
-        seed=args.seed,
-        count=args.count,
-        ranges=ranges,
-        compute_intensity=args.compute_intensity,
-    )
-    datagen.save_dataset(args.out, records, header)
+    header = datagen.DatasetHeader(seed=args.seed, ranges=ranges, compute_intensity=args.compute_intensity)
+    datagen.save_dataset(args.out, dataset, header)
     print(f"wrote {args.count} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    header, records = datagen.load_dataset(args.data)
+    header, dataset = datagen.load_dataset(args.data)
     split_seed = args.split_seed if args.split_seed is not None else args.seed
-    train_recs, val_recs, _ = datagen.split_dataset(records, split_seed)
-    _progress(f"loaded {len(records)} records; {len(train_recs)} train / {len(val_recs)} val")
+    train_set, val_set, _ = datagen.split_dataset(dataset, split_seed)
+    _progress(f"loaded {len(dataset)} records; {len(train_set)} train / {len(val_set)} val")
     config = mlp.TrainConfig(
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
@@ -242,12 +228,12 @@ def cmd_train(args) -> int:
         "compute_intensity": header.compute_intensity,
     }
     model, report = mlp.train(
-        datagen.feature_matrix(train_recs),
-        datagen.target_array(train_recs),
-        datagen.feature_matrix(val_recs),
-        datagen.target_array(val_recs),
+        train_set.features,
+        train_set.t_star,
+        val_set.features,
+        val_set.t_star,
         config,
-        datagen.fit_normalization(train_recs),
+        datagen.fit_normalization(train_set),
         metadata=metadata,
         on_epoch=lambda e, tr, vl: _progress(f"epoch {e}: train {tr:.6f} val {vl:.6f}"),
     )
@@ -262,16 +248,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _select_split(records, split: str, split_seed: int):
+def _select_split(dataset: datagen.Dataset, split: str, split_seed: int) -> datagen.Dataset:
     if split == "all":
-        return records
-    train_recs, val_recs, test_recs = datagen.split_dataset(records, split_seed)
-    return {"train": train_recs, "val": val_recs, "test": test_recs}[split]
+        return dataset
+    train_set, val_set, test_set = datagen.split_dataset(dataset, split_seed)
+    return {"train": train_set, "val": val_set, "test": test_set}[split]
 
 
 def cmd_evaluate(args) -> int:
     model = mlp.load_model(args.model)
-    header, records = datagen.load_dataset(args.data)
+    header, dataset = datagen.load_dataset(args.data)
     if model.compute_intensity != header.compute_intensity:
         raise FileFormatError(
             f"model was trained at compute intensity {model.compute_intensity}, dataset has "
@@ -282,10 +268,10 @@ def cmd_evaluate(args) -> int:
         split_seed = model.metadata.get("split_seed")
     if args.split != "all" and split_seed is None:
         raise InvalidInputError("model metadata lacks split_seed; pass --split-seed or --split all")
-    subset = _select_split(records, args.split, int(split_seed) if split_seed is not None else 0)
+    subset = _select_split(dataset, args.split, int(split_seed) if split_seed is not None else 0)
     _progress(f"evaluating {len(subset)} records ({args.split} split)")
-    predictions = mlp.predict_features(model, datagen.feature_matrix(subset))
-    metrics = evaluation.compute_metrics(predictions, datagen.target_array(subset))
+    predictions = mlp.predict_features(model, subset.features)
+    metrics = evaluation.compute_metrics(predictions, subset.t_star)
     if args.format == "machine":
         print(
             json.dumps(
@@ -332,7 +318,7 @@ def cmd_predict(args) -> int:
 def cmd_hybrid(args) -> int:
     model = mlp.load_model(args.model)
     config = _config_from_args(args)
-    decision = hybrid_predict(model, config, args.threshold, args.heterog_threshold)
+    decision = hybrid_predict(model, config, args.threshold)
     if args.format == "machine":
         print(
             json.dumps(
@@ -408,11 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_system_flags(p)
     p.add_argument("--threshold", type=float, default=DEFAULT_HYBRID_THRESHOLD, help="absolute seconds")
-    p.add_argument(
-        "--heterog-threshold",
-        type=float,
-        help="also verify when max/min child speed exceeds this ratio",
-    )
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.set_defaults(func=cmd_hybrid)
 

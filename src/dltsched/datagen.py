@@ -24,6 +24,7 @@ from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_tim
 
 DATASET_FORMAT = "dltsched-dataset"
 FORMAT_VERSION = 1
+STD_CONVENTION = "population"  # divisor n in every std feature
 
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
@@ -85,21 +86,47 @@ FEATURE_NAMES = FeatureVector._fields
 N_FEATURES = len(FEATURE_NAMES)
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    config: SltnConfig
-    features: FeatureVector
-    t_star: float
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Labeled configurations: row ``i`` of ``features`` (shape (count, 16),
+    ``FEATURE_NAMES`` order) and ``t_star[i]`` describe ``configs[i]``. The
+    constructor copies both into read-only float64 arrays."""
+
+    configs: tuple[SltnConfig, ...]
+    features: np.ndarray
+    t_star: np.ndarray
+
+    def __post_init__(self):
+        features, t_star = _read_only(self.features), _read_only(self.t_star)
+        count = len(self.configs)
+        if features.shape != (count, N_FEATURES) or t_star.shape != (count,):
+            raise InvalidInputError(
+                f"{count} configs need shapes ({count}, {N_FEATURES}) and ({count},), "
+                f"got {features.shape} and {t_star.shape}"
+            )
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "t_star", t_star)
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def take(self, rows) -> "Dataset":
+        """The records at the integer indices ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Dataset(tuple(self.configs[i] for i in rows.tolist()), self.features[rows], self.t_star[rows])
+
+    def column(self, name: str) -> np.ndarray:
+        """The feature column called ``name``, one value per record."""
+        return self.features[:, FEATURE_NAMES.index(name)]
 
 
 @dataclass(frozen=True)
 class DatasetHeader:
-    version: int
+    """What generation was asked for; ``save_dataset`` adds the rest."""
+
     seed: int
-    count: int
     ranges: SamplerRanges
     compute_intensity: float
-    std_convention: str = "population"
 
 
 @dataclass(frozen=True)
@@ -196,9 +223,10 @@ def extract_features(config: SltnConfig) -> FeatureVector:
     )
 
 
-def make_record(config: SltnConfig, compute_intensity: float) -> DatasetRecord:
+def make_record(config: SltnConfig, compute_intensity: float) -> tuple[FeatureVector, float]:
+    """Features and exact optimal makespan of one configuration."""
     alloc = solve_optimal(to_time_rates(config, compute_intensity), config.load_gb)
-    return DatasetRecord(config=config, features=extract_features(config), t_star=alloc.t_star)
+    return extract_features(config), alloc.t_star
 
 
 def generate_dataset(
@@ -207,7 +235,7 @@ def generate_dataset(
     ranges: SamplerRanges = SamplerRanges(),
     compute_intensity: float = DEFAULT_COMPUTE_INTENSITY,
     progress=None,
-) -> list[DatasetRecord]:
+) -> Dataset:
     """Generate ``count`` labeled records, deterministic in ``seed``.
 
     Labels come from the exact solver; solver errors propagate (no silent
@@ -215,65 +243,48 @@ def generate_dataset(
     """
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
-    records = []
+    configs = []
+    features = np.empty((count, N_FEATURES))
+    t_star = np.empty(count)
     for i in range(count):
         config = sample_config(record_rng(seed, i), ranges)
-        records.append(make_record(config, compute_intensity))
+        configs.append(config)
+        features[i], t_star[i] = make_record(config, compute_intensity)
         if progress is not None and (i + 1) % max(1, count // 20) == 0:
             progress(i + 1)
-    return records
+    return Dataset(tuple(configs), features, t_star)
 
 
-def split_dataset(
-    records: list[DatasetRecord], seed: int
-) -> tuple[list[DatasetRecord], list[DatasetRecord], list[DatasetRecord]]:
+def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """80/10/10 split, stratified by n so every system size is represented in
-    each split in proportion to its frequency."""
-    if not records:
+    each split in proportion to its frequency. Strata go in ascending n, each
+    shuffled from dataset order by one permutation drawn from ``seed``."""
+    if not len(dataset):
         raise InvalidInputError("cannot split an empty dataset")
-    strata: dict[int, list[int]] = {}
-    for i, rec in enumerate(records):
-        strata.setdefault(rec.config.n, []).append(i)
+    ns = dataset.column("n")
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    test_idx: list[int] = []
-    for n in sorted(strata):
-        members = strata[n]
-        if len(members) < _MIN_STRATUM:
+    parts: tuple[list, list, list] = ([], [], [])
+    for n in np.unique(ns):
+        members = np.flatnonzero(ns == n)
+        if members.size < _MIN_STRATUM:
             raise StratificationError(
-                f"stratum n={n} has only {len(members)} records; need at least "
+                f"stratum n={int(n)} has only {members.size} records; need at least "
                 f"{_MIN_STRATUM} per system size (generate a larger dataset)"
             )
-        order = rng.permutation(len(members))
-        shuffled = [members[j] for j in order]
-        n_val = round(VAL_FRACTION * len(members))
-        n_test = round((1.0 - TRAIN_FRACTION - VAL_FRACTION) * len(members))
-        n_train = len(members) - n_val - n_test
-        train_idx.extend(shuffled[:n_train])
-        val_idx.extend(shuffled[n_train : n_train + n_val])
-        test_idx.extend(shuffled[n_train + n_val :])
-    return (
-        [records[i] for i in train_idx],
-        [records[i] for i in val_idx],
-        [records[i] for i in test_idx],
-    )
+        shuffled = rng.permutation(members)
+        n_val = round(VAL_FRACTION * members.size)
+        n_test = round((1.0 - TRAIN_FRACTION - VAL_FRACTION) * members.size)
+        n_train = members.size - n_val - n_test
+        for part, rows in zip(parts, np.split(shuffled, [n_train, n_train + n_val])):
+            part.append(rows)
+    return tuple(dataset.take(np.concatenate(part)) for part in parts)
 
 
-def feature_matrix(records: list[DatasetRecord]) -> np.ndarray:
-    return np.array([rec.features for rec in records], dtype=float)
-
-
-def target_array(records: list[DatasetRecord]) -> np.ndarray:
-    return np.array([rec.t_star for rec in records], dtype=float)
-
-
-def fit_normalization(train: list[DatasetRecord]) -> NormalizationStats:
+def fit_normalization(train: Dataset) -> NormalizationStats:
     """Fit z-score statistics on the training records only."""
-    if not train:
+    if not len(train):
         raise InvalidInputError("cannot fit normalization on an empty set")
-    x = feature_matrix(train)
-    y = target_array(train)
+    x, y = train.features, train.t_star
     stds = x.std(axis=0)
     for name, s in zip(FEATURE_NAMES, stds):
         if s <= 0:
@@ -322,7 +333,7 @@ def _config_from_json(obj: dict) -> SltnConfig:
     )
 
 
-def save_dataset(path, records: list[DatasetRecord], header: DatasetHeader) -> None:
+def save_dataset(path, dataset: Dataset, header: DatasetHeader) -> None:
     """Write header plus one JSON record per line. Identical inputs produce
     byte-identical files."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -330,9 +341,9 @@ def save_dataset(path, records: list[DatasetRecord], header: DatasetHeader) -> N
         encode(
             {
                 "format": DATASET_FORMAT,
-                "version": header.version,
+                "version": FORMAT_VERSION,
                 "seed": header.seed,
-                "count": header.count,
+                "count": len(dataset),
                 "ranges": {
                     "n": list(header.ranges.n_range),
                     "load_gb": list(header.ranges.load_range),
@@ -340,18 +351,16 @@ def save_dataset(path, records: list[DatasetRecord], header: DatasetHeader) -> N
                     "bandwidth": list(header.ranges.bandwidth_range),
                 },
                 "compute_intensity": header.compute_intensity,
-                "std_convention": header.std_convention,
+                "std_convention": STD_CONVENTION,
             }
         )
     ]
-    for rec in records:
-        lines.append(
-            encode({"config": _config_to_json(rec.config), "features": list(rec.features), "t_star": rec.t_star})
-        )
+    for config, row, t_star in zip(dataset.configs, dataset.features.tolist(), dataset.t_star.tolist()):
+        lines.append(encode({"config": _config_to_json(config), "features": row, "t_star": t_star}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_dataset(path) -> tuple[DatasetHeader, list[DatasetRecord]]:
+def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -377,38 +386,43 @@ def load_dataset(path) -> tuple[DatasetHeader, list[DatasetRecord]]:
             bandwidth_range=tuple(float(v) for v in head["ranges"]["bandwidth"]),
         )
         header = DatasetHeader(
-            version=int(head["version"]),
             seed=int(head["seed"]),
-            count=int(head["count"]),
             ranges=ranges,
             compute_intensity=float(head["compute_intensity"]),
-            std_convention=str(head["std_convention"]),
         )
+        count = int(head["count"])
+        std_convention = head["std_convention"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
     if not 0 < header.compute_intensity < math.inf:
         raise FileFormatError(
             f"{path}: compute_intensity must be positive and finite, got {header.compute_intensity!r}"
         )
-    records = []
+    if std_convention != STD_CONVENTION:
+        raise FileFormatError(f"{path}: std_convention must be {STD_CONVENTION!r}, got {std_convention!r}")
+    configs, rows, labels = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
             config = _config_from_json(obj["config"])
-            features = FeatureVector._make(map(float, obj["features"]))
+            row = tuple(map(float, obj["features"]))
             t_star = float(obj["t_star"])
+            if len(row) != N_FEATURES:
+                raise ValueError(f"expected {N_FEATURES} features, got {len(row)}")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
         if not 0 < t_star < math.inf:
             raise FileFormatError(f"{path}:{lineno}: t_star must be positive and finite, got {t_star!r}")
-        if not all(map(math.isfinite, features)):
-            raise FileFormatError(f"{path}:{lineno}: non-finite feature in {list(features)}")
-        records.append(DatasetRecord(config=config, features=features, t_star=t_star))
-    if len(records) != header.count:
-        raise FileFormatError(f"{path}: header says {header.count} records, found {len(records)}")
-    return header, records
+        if not all(map(math.isfinite, row)):
+            raise FileFormatError(f"{path}:{lineno}: non-finite feature in {list(row)}")
+        configs.append(config)
+        rows.append(row)
+        labels.append(t_star)
+    if len(configs) != count:
+        raise FileFormatError(f"{path}: header says {count} records, found {len(configs)}")
+    return header, Dataset(tuple(configs), np.reshape(rows, (count, N_FEATURES)), labels)
 
 
 def dataset_file_hash(path) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import FEATURE_NAMES, DatasetRecord, apply_normalization, target_array
+from .datagen import FEATURE_NAMES, Dataset, apply_normalization
 from .errors import InvalidInputError
 from .mlp import MlpModel, input_gradients
 
@@ -141,33 +141,32 @@ def _bucket_report(label: str, predictions: np.ndarray, targets: np.ndarray) -> 
     )
 
 
-def stratify(records: list[DatasetRecord], predictions, scheme: str) -> StratifiedReport:
-    """Slice predictions into buckets by n, load bin, or heterogeneity bin."""
+def stratify(dataset: Dataset, predictions, scheme: str) -> StratifiedReport:
+    """Slice predictions into buckets by n, load bin, or heterogeneity bin,
+    read from the dataset's feature columns."""
     if scheme not in STRATIFY_SCHEMES:
         raise InvalidInputError(f"unknown scheme {scheme!r}; expected one of {STRATIFY_SCHEMES}")
     predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (len(records),):
-        raise InvalidInputError("need exactly one prediction per record")
-    targets = target_array(records)
+    if predictions.shape != (len(dataset),) or not len(dataset):
+        raise InvalidInputError("need at least one record and exactly one prediction per record")
+    targets = dataset.t_star
 
     if scheme == "by-n":
-        ns = np.array([rec.config.n for rec in records])
+        ns = dataset.column("n")
         groups = [(f"n={n}", np.flatnonzero(ns == n)) for n in range(int(ns.min()), int(ns.max()) + 1)]
     elif scheme == "by-load":
-        loads = np.array([rec.config.load_gb for rec in records])
-        idx = _bin_index(loads, LOAD_BIN_EDGES)
+        idx = _bin_index(dataset.column("load_gb"), LOAD_BIN_EDGES)
         groups = [
             (label, np.flatnonzero(idx == i)) for i, label in enumerate(_bin_labels(LOAD_BIN_EDGES))
         ]
     else:
-        het = np.array([rec.features.heterog_w for rec in records])
-        idx = _bin_index(het, HETEROG_BIN_EDGES)
+        idx = _bin_index(dataset.column("heterog_w"), HETEROG_BIN_EDGES)
         groups = [
             (label, np.flatnonzero(idx == i)) for i, label in enumerate(_bin_labels(HETEROG_BIN_EDGES))
         ]
 
     buckets = tuple(_bucket_report(label, predictions[sel], targets[sel]) for label, sel in groups)
-    return StratifiedReport(scheme=scheme, buckets=buckets, total_count=len(records))
+    return StratifiedReport(scheme=scheme, buckets=buckets, total_count=len(dataset))
 
 
 def residual_analysis(predictions, targets) -> ResidualReport:
@@ -252,16 +251,16 @@ def _stratum_rows(report: StratifiedReport) -> list[tuple]:
 _STRATUM_COLUMNS = ["bucket", "count", "r2", "mae_s", "rmse_s", "mape_pct", "median_pct", "p90_pct", "max_pct"]
 
 
-def emit_plot_data(out_dir, records: list[DatasetRecord], predictions, train_report=None) -> list[Path]:
+def emit_plot_data(out_dir, dataset: Dataset, predictions, train_report=None) -> list[Path]:
     """Write the plot tables for one prediction per record into ``out_dir``.
 
     Covers loss curves (when ``train_report`` is given), predicted-vs-actual
-    pairs against the records' labels, error and percentage error
+    pairs against the dataset's labels, error and percentage error
     histograms, residual-vs-prediction pairs, and the bucket summaries of
     the three stratification schemes. Re-running on the same inputs
     rewrites identical bytes.
     """
-    predictions, targets = _check_pairs(predictions, target_array(records))
+    predictions, targets = _check_pairs(predictions, dataset.t_star)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -305,7 +304,7 @@ def emit_plot_data(out_dir, records: list[DatasetRecord], predictions, train_rep
         ("by-load", "load_bin_errors.csv"),
         ("by-heterogeneity", "heterog_bin_errors.csv"),
     ):
-        report = stratify(records, predictions, scheme)
+        report = stratify(dataset, predictions, scheme)
         written.append(_write_table(out_dir / name, _STRATUM_COLUMNS, _stratum_rows(report)))
 
     return written

@@ -475,10 +475,6 @@ def load_model(path) -> MlpModel:
             f"{expected_weights} and {expected_biases}"
         )
     params = MlpParams(weights, biases)
-    if params.param_count() != EXPECTED_PARAM_COUNT:
-        raise FileFormatError(
-            f"{path}: parameter count {params.param_count()} != {EXPECTED_PARAM_COUNT}"
-        )
     if not np.isfinite(params.flat).all():
         raise FileFormatError(f"{path}: non-finite weight or bias")
     return MlpModel(params=params, norm=norm, metadata=metadata)

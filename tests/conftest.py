@@ -34,35 +34,34 @@ def constant_model(output: float, compute_intensity: float) -> mlp.MlpModel:
     return mlp.MlpModel(params=params, norm=norm, metadata={"compute_intensity": compute_intensity})
 
 
+def dataset_of(configs, t_star) -> datagen.Dataset:
+    """A dataset of ``configs`` with their extracted features and the given labels."""
+    return datagen.Dataset(tuple(configs), [datagen.extract_features(c) for c in configs], t_star)
+
+
 @pytest.fixture(scope="session")
 def desk_run():
     """Generate, split, and train the desk-scale surrogate once per session."""
     started = time.perf_counter()
-    records = datagen.generate_dataset(DESK_COUNT, DESK_SEED, compute_intensity=DESK_INTENSITY)
-    train_recs, val_recs, test_recs = datagen.split_dataset(records, DESK_SEED)
-    norm = datagen.fit_normalization(train_recs)
-    x_tr, y_tr = datagen.feature_matrix(train_recs), datagen.target_array(train_recs)
-    x_val, y_val = datagen.feature_matrix(val_recs), datagen.target_array(val_recs)
+    dataset = datagen.generate_dataset(DESK_COUNT, DESK_SEED, compute_intensity=DESK_INTENSITY)
+    train, val, test = datagen.split_dataset(dataset, DESK_SEED)
+    norm = datagen.fit_normalization(train)
     model, report = mlp.train(
-        x_tr,
-        y_tr,
-        x_val,
-        y_val,
+        train.features,
+        train.t_star,
+        val.features,
+        val.t_star,
         desk_train_config(),
         norm,
         metadata={"train_seed": DESK_SEED, "split_seed": DESK_SEED, "compute_intensity": DESK_INTENSITY},
     )
     elapsed = time.perf_counter() - started
     return {
-        "records": records,
-        "train": train_recs,
-        "val": val_recs,
-        "test": test_recs,
+        "dataset": dataset,
+        "train": train,
+        "val": val,
+        "test": test,
         "norm": norm,
-        "x_tr": x_tr,
-        "y_tr": y_tr,
-        "x_val": x_val,
-        "y_val": y_val,
         "model": model,
         "report": report,
         "pipeline_seconds": elapsed,

@@ -136,17 +136,17 @@ class TestNetworkCriteria:
 
 class TestLearningCriteria:
     def test_7_desk_scale_learning(self, desk_run):
-        preds = mlp.predict_features(desk_run["model"], datagen.feature_matrix(desk_run["test"]))
-        metrics = evaluation.compute_metrics(preds, datagen.target_array(desk_run["test"]))
+        preds = mlp.predict_features(desk_run["model"], desk_run["test"].features)
+        metrics = evaluation.compute_metrics(preds, desk_run["test"].t_star)
         stopped = [desk_run["report"].stopped_early]
         for backup_seed in (1, 2):
             if any(stopped):
                 break
             _, rep = mlp.train(
-                desk_run["x_tr"],
-                desk_run["y_tr"],
-                desk_run["x_val"],
-                desk_run["y_val"],
+                desk_run["train"].features,
+                desk_run["train"].t_star,
+                desk_run["val"].features,
+                desk_run["val"].t_star,
                 desk_train_config(backup_seed),
                 desk_run["norm"],
                 metadata={"compute_intensity": DESK_INTENSITY},
@@ -168,22 +168,22 @@ class TestLearningCriteria:
     def test_generalization_gap(self, desk_run):
         # Not a numbered criterion: train-split MSE should not exceed test-split MSE.
         model = desk_run["model"]
-        train_preds = mlp.predict_features(model, datagen.feature_matrix(desk_run["train"]))
-        test_preds = mlp.predict_features(model, datagen.feature_matrix(desk_run["test"]))
-        train_mse = np.mean((train_preds - datagen.target_array(desk_run["train"])) ** 2)
-        test_mse = np.mean((test_preds - datagen.target_array(desk_run["test"])) ** 2)
+        train_preds = mlp.predict_features(model, desk_run["train"].features)
+        test_preds = mlp.predict_features(model, desk_run["test"].features)
+        train_mse = np.mean((train_preds - desk_run["train"].t_star) ** 2)
+        test_mse = np.mean((test_preds - desk_run["test"].t_star) ** 2)
         assert train_mse <= test_mse
 
     def test_range_coverage(self, desk_run):
         # Dataset-level sanity on the shared desk-scale sample.
-        ns = {rec.config.n for rec in desk_run["records"]}
+        ns = {config.n for config in desk_run["dataset"].configs}
         assert ns == set(range(3, 21))
-        ratios = np.array([rec.features.comp_comm_ratio for rec in desk_run["records"]])
+        ratios = desk_run["dataset"].column("comp_comm_ratio")
         assert ratios.min() >= 0.01 and ratios.max() <= 1.5
 
     def test_8_inference_latency(self, desk_run):
         model = desk_run["model"]
-        configs = [rec.config for rec in desk_run["test"]]
+        configs = desk_run["test"].configs
         calls = 10_000
         timings = np.empty(calls)
         for i in range(calls):
@@ -197,7 +197,7 @@ class TestLearningCriteria:
         assert ok
 
     def test_9_stratified_stability(self, desk_run):
-        preds = mlp.predict_features(desk_run["model"], datagen.feature_matrix(desk_run["test"]))
+        preds = mlp.predict_features(desk_run["model"], desk_run["test"].features)
         by_n = evaluation.stratify(desk_run["test"], preds, "by-n")
         medians = [b.median_pct_error for b in by_n.buckets if b.count]
         spread = max(medians) - min(medians)
@@ -207,7 +207,7 @@ class TestLearningCriteria:
         assert spread <= 10.0
 
     def test_10_load_error_direction(self, desk_run):
-        preds = mlp.predict_features(desk_run["model"], datagen.feature_matrix(desk_run["test"]))
+        preds = mlp.predict_features(desk_run["model"], desk_run["test"].features)
         by_load = evaluation.stratify(desk_run["test"], preds, "by-load")
         buckets = {b.label: b for b in by_load.buckets}
         small = buckets["[1,5)"].median_pct_error
@@ -220,9 +220,8 @@ class TestLearningCriteria:
         model = desk_run["model"]
         threshold = 5000.0
         verified = 0
-        for rec in desk_run["test"]:
-            decision = cli.hybrid_predict(model, rec.config, threshold)
-            exact = rec.t_star
+        for config, exact in zip(desk_run["test"].configs, desk_run["test"].t_star.tolist()):
+            decision = cli.hybrid_predict(model, config, threshold)
             ml_error = abs(decision.ml_estimate - exact)
             hybrid_error = abs(decision.t_star - exact)
             assert hybrid_error <= ml_error + 1e-9
@@ -243,28 +242,22 @@ class TestDeterminismCriterion:
         for run in ("one", "two"):
             d = tmp_path / run
             d.mkdir()
-            records = datagen.generate_dataset(1500, seed=3, compute_intensity=DESK_INTENSITY)
-            header = datagen.DatasetHeader(
-                version=datagen.FORMAT_VERSION,
-                seed=3,
-                count=1500,
-                ranges=datagen.SamplerRanges(),
-                compute_intensity=DESK_INTENSITY,
-            )
-            datagen.save_dataset(d / "data.jsonl", records, header)
-            train_recs, val_recs, test_recs = datagen.split_dataset(records, 3)
+            dataset = datagen.generate_dataset(1500, seed=3, compute_intensity=DESK_INTENSITY)
+            header = datagen.DatasetHeader(seed=3, ranges=datagen.SamplerRanges(), compute_intensity=DESK_INTENSITY)
+            datagen.save_dataset(d / "data.jsonl", dataset, header)
+            train, val, test = datagen.split_dataset(dataset, 3)
             model, report = mlp.train(
-                datagen.feature_matrix(train_recs),
-                datagen.target_array(train_recs),
-                datagen.feature_matrix(val_recs),
-                datagen.target_array(val_recs),
+                train.features,
+                train.t_star,
+                val.features,
+                val.t_star,
                 mlp.TrainConfig(seed=3, max_epochs=4, dropout_p=0.2),
-                datagen.fit_normalization(train_recs),
+                datagen.fit_normalization(train),
                 metadata={"train_seed": 3, "split_seed": 3, "compute_intensity": DESK_INTENSITY},
             )
             mlp.save_model(d / "model.json", model)
-            preds = mlp.predict_features(model, datagen.feature_matrix(test_recs))
-            evaluation.emit_plot_data(d / "plots", test_recs, preds, train_report=report)
+            preds = mlp.predict_features(model, test.features)
+            evaluation.emit_plot_data(d / "plots", test, preds, train_report=report)
             outputs.append(d)
 
         one, two = outputs

@@ -182,8 +182,9 @@ class TestTrainCommand:
             (3, "t_star", -3.0, "t_star"),
             (3, "t_star", float("nan"), "t_star"),
             (3, "features", [float("nan")] + [1.0] * 15, "non-finite feature"),
+            (0, "std_convention", "sample", "std_convention"),
         ],
-        ids=["negative-intensity", "negative-t-star", "nan-t-star", "nan-feature"],
+        ids=["negative-intensity", "negative-t-star", "nan-t-star", "nan-feature", "sample-std"],
     )
     def test_bad_dataset_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, line, key, value, message):
         lines = tiny_pipeline["data"].read_text().splitlines()
@@ -358,14 +359,6 @@ class TestHybrid:
         decision = hybrid_predict(constant_model(-5.0, compute_intensity=100.0), config, threshold=1e12)
         assert decision.source == "ml"
         assert decision.t_star == decision.ml_estimate == 100.0 * 20.0 / (4.0 + 3 * 6.0)
-
-    def test_heterogeneity_trigger(self, tiny_pipeline):
-        model = mlp.load_model(tiny_pipeline["model"])
-        config = solver.SltnConfig(
-            n=2, root_speed=4.0, child_speeds=(1.0, 14.0), link_bandwidths=(50.0, 50.0), load_gb=10.0
-        )
-        decision = hybrid_predict(model, config, threshold=1e12, heterog_threshold=10.0)
-        assert decision.source == "dlt-verified"
 
     def test_cli_output(self, capsys, tiny_pipeline):
         code, out, _ = run(

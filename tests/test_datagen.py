@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dltsched import datagen
 from dltsched.datagen import (
+    Dataset,
     DatasetHeader,
-    DatasetRecord,
     SamplerRanges,
     apply_normalization,
     denormalize_target,
@@ -20,8 +20,10 @@ from dltsched.datagen import (
     save_dataset,
     split_dataset,
 )
-from dltsched.errors import ConstantFeatureError, FileFormatError, StratificationError
+from dltsched.errors import ConstantFeatureError, FileFormatError, InvalidInputError, StratificationError
 from dltsched.solver import SltnConfig, oracle_solve, to_time_rates
+
+from conftest import dataset_of
 
 
 def make_config(n, speeds, bws, root=5.0, load=10.0):
@@ -121,97 +123,159 @@ class TestGenerateDataset:
     def test_deterministic(self):
         a = generate_dataset(50, seed=42)
         b = generate_dataset(50, seed=42)
-        assert a == b
+        assert a.configs == b.configs
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.t_star, b.t_star)
 
     def test_labels_replay_through_oracle(self):
-        records = generate_dataset(50, seed=3)
-        for rec in records:
-            replay = oracle_solve(to_time_rates(rec.config, 100.0), rec.config.load_gb)
-            assert replay.t_star == pytest.approx(rec.t_star, rel=1e-9)
+        dataset = generate_dataset(50, seed=3)
+        for config, t_star in zip(dataset.configs, dataset.t_star):
+            replay = oracle_solve(to_time_rates(config, 100.0), config.load_gb)
+            assert replay.t_star == pytest.approx(t_star, rel=1e-9)
 
     def test_feature_consistency(self):
-        for rec in generate_dataset(20, seed=4):
-            assert extract_features(rec.config) == rec.features
+        dataset = generate_dataset(20, seed=4)
+        for config, row in zip(dataset.configs, dataset.features.tolist()):
+            assert list(extract_features(config)) == row
+
+
+class TestDataset:
+    def test_take_keeps_fields_aligned_and_arrays_read_only(self):
+        dataset = generate_dataset(12, seed=5)
+        rows = [7, 2, 2, 11]
+        part = dataset.take(rows)
+        assert len(part) == 4
+        assert part.configs == tuple(dataset.configs[i] for i in rows)
+        for row, config in zip(part.features.tolist(), part.configs):
+            assert tuple(row) == extract_features(config)
+        assert part.t_star.tolist() == [dataset.t_star[i] for i in rows]
+        assert part.column("load_gb").tolist() == [c.load_gb for c in part.configs]
+        for arr in (dataset.features, dataset.t_star, part.features, part.t_star):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_constructor_copies_its_arrays(self):
+        configs = [make_config(3, [2.0, 4.0, 6.0], [10.0, 20.0, 30.0])] * 2
+        features = np.ones((2, 16))
+        t_star = np.ones(2)
+        dataset = Dataset(tuple(configs), features, t_star)
+        features[0, 0] = t_star[0] = 5.0
+        assert dataset.features[0, 0] == dataset.t_star[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "count, features_shape, t_star_shape",
+        [(3, (2, 16), (3,)), (3, (3, 16), (2,)), (3, (3, 15), (3,)), (3, (3, 17), (3,)), (3, (48,), (3,))],
+        ids=["short-features", "short-t-star", "width-15", "width-17", "flat-features"],
+    )
+    def test_rejects_mismatched_shapes(self, count, features_shape, t_star_shape):
+        configs = (make_config(3, [2.0, 4.0, 6.0], [10.0, 20.0, 30.0]),) * count
+        with pytest.raises(InvalidInputError, match="shape"):
+            Dataset(configs, np.ones(features_shape), np.ones(t_star_shape))
+
+
+def reference_split(configs, seed):
+    """Row indices of the record-at-a-time stratified split, grouped on
+    ``configs[i].n``: strata in ascending n, members in dataset order, one
+    permutation per stratum."""
+    strata: dict[int, list[int]] = {}
+    for i, config in enumerate(configs):
+        strata.setdefault(config.n, []).append(i)
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx, test_idx = [], [], []
+    for n in sorted(strata):
+        members = strata[n]
+        shuffled = [members[j] for j in rng.permutation(len(members))]
+        n_val = round(datagen.VAL_FRACTION * len(members))
+        n_test = round((1.0 - datagen.TRAIN_FRACTION - datagen.VAL_FRACTION) * len(members))
+        n_train = len(members) - n_val - n_test
+        train_idx.extend(shuffled[:n_train])
+        val_idx.extend(shuffled[n_train : n_train + n_val])
+        test_idx.extend(shuffled[n_train + n_val :])
+    return train_idx, val_idx, test_idx
 
 
 class TestSplitDataset:
     @staticmethod
-    def records_with_n(counts: dict[int, int]):
-        records = []
+    def dataset_with_n(counts: dict[int, int]):
+        configs, t_star = [], []
         for n, count in counts.items():
             for i in range(count):
-                cfg = make_config(n, [2.0 + i % 5] * n, [20.0 + i % 7] * n, load=1.0 + i)
-                records.append(DatasetRecord(cfg, extract_features(cfg), t_star=float(1 + i)))
-        return records
+                configs.append(make_config(n, [2.0 + i % 5] * n, [20.0 + i % 7] * n, load=1.0 + i))
+                t_star.append(float(1 + i))
+        return dataset_of(configs, t_star)
 
     def test_overall_proportions(self):
-        records = self.records_with_n({3: 50, 4: 50})
-        train, val, test = split_dataset(records, seed=0)
+        dataset = self.dataset_with_n({3: 50, 4: 50})
+        train, val, test = split_dataset(dataset, seed=0)
         assert (len(train), len(val), len(test)) == (80, 10, 10)
 
     def test_every_stratum_in_every_split(self):
-        records = self.records_with_n({3: 10, 7: 20, 20: 40})
-        train, val, test = split_dataset(records, seed=1)
+        dataset = self.dataset_with_n({3: 10, 7: 20, 20: 40})
+        train, val, test = split_dataset(dataset, seed=1)
         for part in (train, val, test):
-            assert {rec.config.n for rec in part} == {3, 7, 20}
+            assert {config.n for config in part.configs} == {3, 7, 20}
 
     def test_partition_property(self):
-        records = self.records_with_n({5: 30, 6: 12})
-        train, val, test = split_dataset(records, seed=2)
-        combined = [*train, *val, *test]
-        assert len(combined) == len(records)
-        key = lambda r: (r.config.n, r.config.load_gb, r.t_star)
-        assert sorted(map(key, combined)) == sorted(map(key, records))
+        dataset = self.dataset_with_n({5: 30, 6: 12})
+        parts = split_dataset(dataset, seed=2)
+        assert sum(map(len, parts)) == len(dataset)
+        keys = lambda d: [(c.n, c.load_gb, t) for c, t in zip(d.configs, d.t_star.tolist())]
+        assert sorted(key for part in parts for key in keys(part)) == sorted(keys(dataset))
 
     def test_deterministic(self):
-        records = self.records_with_n({3: 20, 4: 20})
-        assert split_dataset(records, seed=9) == split_dataset(records, seed=9)
+        dataset = self.dataset_with_n({3: 20, 4: 20})
+        for a, b in zip(split_dataset(dataset, seed=9), split_dataset(dataset, seed=9)):
+            assert a.configs == b.configs and np.array_equal(a.t_star, b.t_star)
+
+    def test_matches_record_at_a_time_reference(self):
+        dataset = generate_dataset(1000, seed=17)
+        assert len({config.n for config in dataset.configs}) == 18
+        for seed in (0, 17):
+            for part, rows in zip(split_dataset(dataset, seed), reference_split(dataset.configs, seed)):
+                assert part.configs == tuple(dataset.configs[i] for i in rows)
+                assert np.array_equal(part.features, dataset.features[rows])
+                assert np.array_equal(part.t_star, dataset.t_star[rows])
 
     def test_small_stratum_rejected(self):
-        records = self.records_with_n({3: 9})
+        dataset = self.dataset_with_n({3: 9})
         with pytest.raises(StratificationError):
-            split_dataset(records, seed=0)
+            split_dataset(dataset, seed=0)
 
 
 class TestNormalization:
     def test_train_columns_become_standard(self):
-        records = generate_dataset(300, seed=8)
-        stats = fit_normalization(records)
-        x, y = apply_normalization(stats, datagen.feature_matrix(records), datagen.target_array(records))
+        dataset = generate_dataset(300, seed=8)
+        stats = fit_normalization(dataset)
+        x, y = apply_normalization(stats, dataset.features, dataset.t_star)
         np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(x.std(axis=0), 1.0, atol=1e-9)
         assert abs(y.mean()) <= 1e-9 and abs(y.std() - 1.0) <= 1e-9
 
     def test_held_out_mean_not_centered(self):
-        records = generate_dataset(400, seed=12)
-        stats = fit_normalization(records[:200])
-        x = apply_normalization(stats, datagen.feature_matrix(records[200:]))
+        dataset = generate_dataset(400, seed=12)
+        stats = fit_normalization(dataset.take(range(200)))
+        x = apply_normalization(stats, dataset.features[200:])
         assert np.any(np.abs(x.mean(axis=0)) > 1e-6)
 
     def test_population_std_convention(self):
         cfg_a = make_config(2, [2.0, 4.0], [10.0, 20.0], root=5.0, load=10.0)
         cfg_b = make_config(3, [1.0, 3.0, 9.0], [30.0, 60.0, 90.0], root=7.0, load=20.0)
-        records = [
-            DatasetRecord(cfg_a, extract_features(cfg_a), t_star=1.0),
-            DatasetRecord(cfg_b, extract_features(cfg_b), t_star=3.0),
-        ]
-        stats = fit_normalization(records)
+        stats = fit_normalization(dataset_of([cfg_a, cfg_b], [1.0, 3.0]))
         assert stats.target_mean == 2.0
         assert stats.target_std == 1.0
 
     def test_round_trip(self):
-        records = generate_dataset(100, seed=5)
-        stats = fit_normalization(records)
-        y = datagen.target_array(records)
-        x = datagen.feature_matrix(records)
+        dataset = generate_dataset(100, seed=5)
+        stats = fit_normalization(dataset)
+        y = dataset.t_star
+        x = dataset.features
         x_n, y_n = apply_normalization(stats, x, y)
         np.testing.assert_allclose(denormalize_target(stats, y_n), y, rtol=1e-12)
         back = x_n * np.array(stats.feature_stds) + np.array(stats.feature_means)
         np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
 
     def test_mean_maps_to_zero_and_one_std_to_one(self):
-        records = generate_dataset(60, seed=6)
-        stats = fit_normalization(records)
+        dataset = generate_dataset(60, seed=6)
+        stats = fit_normalization(dataset)
         at_mean = apply_normalization(stats, np.array(stats.feature_means))
         np.testing.assert_allclose(at_mean, 0.0, atol=1e-12)
         one_up = apply_normalization(
@@ -233,36 +297,32 @@ class TestNormalization:
 
     def test_constant_feature_rejected(self):
         cfg = make_config(3, [2.0, 4.0, 6.0], [10.0, 20.0, 30.0])
-        records = [DatasetRecord(cfg, extract_features(cfg), t_star=float(i + 1)) for i in range(5)]
         with pytest.raises(ConstantFeatureError):
-            fit_normalization(records)
+            fit_normalization(dataset_of([cfg] * 5, [float(i + 1) for i in range(5)]))
 
 
 class TestDatasetFiles:
     @staticmethod
-    def header(count, seed=7):
-        return DatasetHeader(
-            version=datagen.FORMAT_VERSION,
-            seed=seed,
-            count=count,
-            ranges=SamplerRanges(),
-            compute_intensity=100.0,
-        )
+    def header(seed=7):
+        return DatasetHeader(seed=seed, ranges=SamplerRanges(), compute_intensity=100.0)
 
     def test_round_trip(self, tmp_path):
-        records = generate_dataset(30, seed=7)
+        dataset = generate_dataset(30, seed=7)
         path = tmp_path / "data.jsonl"
-        save_dataset(path, records, self.header(30))
+        save_dataset(path, dataset, self.header())
         header, loaded = load_dataset(path)
-        assert loaded == records
-        assert header.seed == 7 and header.count == 30
-        assert header.std_convention == "population"
+        assert loaded.configs == dataset.configs
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert loaded.t_star.tobytes() == dataset.t_star.tobytes()
+        assert header == self.header()
+        head = json.loads(path.read_text().splitlines()[0])
+        assert (head["version"], head["count"], head["std_convention"]) == (datagen.FORMAT_VERSION, 30, "population")
 
     def test_byte_identical_rewrites(self, tmp_path):
-        records = generate_dataset(25, seed=11)
+        dataset = generate_dataset(25, seed=11)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_dataset(p1, records, self.header(25, seed=11))
-        save_dataset(p2, generate_dataset(25, seed=11), self.header(25, seed=11))
+        save_dataset(p1, dataset, self.header(seed=11))
+        save_dataset(p2, generate_dataset(25, seed=11), self.header(seed=11))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_foreign_files(self, tmp_path):
@@ -275,22 +335,40 @@ class TestDatasetFiles:
             load_dataset(path)
 
     def test_rejects_truncated_file(self, tmp_path):
-        records = generate_dataset(10, seed=2)
+        dataset = generate_dataset(10, seed=2)
         path = tmp_path / "data.jsonl"
-        save_dataset(path, records, self.header(10, seed=2))
+        save_dataset(path, dataset, self.header(seed=2))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FileFormatError):
             load_dataset(path)
 
-    def test_rejects_wrong_feature_count(self, tmp_path):
-        records = generate_dataset(10, seed=2)
+    @staticmethod
+    def edit_record(tmp_path, edit):
+        """A saved 10-record dataset whose fourth line (third record) went through ``edit``."""
         path = tmp_path / "data.jsonl"
-        save_dataset(path, records, self.header(10, seed=2))
+        save_dataset(path, generate_dataset(10, seed=2), TestDatasetFiles.header(seed=2))
         lines = path.read_text().splitlines()
         record = json.loads(lines[3])
-        record["features"].append(1.0)
+        edit(record)
         lines[3] = json.dumps(record, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_rejects_wrong_feature_count(self, tmp_path):
+        path = self.edit_record(tmp_path, lambda record: record["features"].append(1.0))
         with pytest.raises(FileFormatError, match=":4: malformed record"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda record: record.update(t_star=-2.0), "t_star must be positive"),
+            (lambda record: record.update(t_star=float("inf")), "t_star must be positive"),
+            (lambda record: record["features"].__setitem__(5, float("nan")), "non-finite feature"),
+        ],
+        ids=["negative-t-star", "infinite-t-star", "nan-feature"],
+    )
+    def test_names_the_bad_line(self, tmp_path, edit, message):
+        with pytest.raises(FileFormatError, match=f":4: {message}"):
+            load_dataset(self.edit_record(tmp_path, edit))

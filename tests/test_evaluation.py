@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dltsched import datagen
-from dltsched.datagen import DatasetRecord, extract_features
+from dltsched.datagen import extract_features
 from dltsched.errors import InvalidInputError
 from dltsched.evaluation import (
+    HETEROG_BIN_EDGES,
+    LOAD_BIN_EDGES,
     compute_metrics,
     emit_plot_data,
     feature_importance,
@@ -16,16 +18,17 @@ from dltsched.evaluation import (
 from dltsched.mlp import MlpModel, TrainReport, init_params
 from dltsched.solver import SltnConfig
 
+from conftest import dataset_of
+
 IDENTITY_NORM = datagen.NormalizationStats(
     feature_means=(0.0,) * 16, feature_stds=(1.0,) * 16, target_mean=0.0, target_std=1.0
 )
 
 
-def record_for(n=3, load=10.0, speeds=None, bws=None, t_star=100.0):
+def config_for(n=3, load=10.0, speeds=None, bws=None):
     speeds = speeds or (4.0,) * n
     bws = bws or (40.0,) * n
-    cfg = SltnConfig(n=n, root_speed=5.0, child_speeds=tuple(speeds), link_bandwidths=tuple(bws), load_gb=load)
-    return DatasetRecord(cfg, extract_features(cfg), t_star=t_star)
+    return SltnConfig(n=n, root_speed=5.0, child_speeds=tuple(speeds), link_bandwidths=tuple(bws), load_gb=load)
 
 
 class TestComputeMetrics:
@@ -61,58 +64,88 @@ class TestComputeMetrics:
 
 class TestStratify:
     def test_by_n_buckets_cover_range(self):
-        records = [record_for(n=n, t_star=50.0 + n) for n in range(3, 21) for _ in range(4)]
-        preds = np.array([rec.t_star * 1.1 for rec in records])
-        report = stratify(records, preds, "by-n")
+        ns = [n for n in range(3, 21) for _ in range(4)]
+        dataset = dataset_of([config_for(n=n) for n in ns], [50.0 + n for n in ns])
+        report = stratify(dataset, dataset.t_star * 1.1, "by-n")
         assert len(report.buckets) == 18
         assert [b.label for b in report.buckets] == [f"n={n}" for n in range(3, 21)]
         assert all(b.count == 4 for b in report.buckets)
         assert sum(b.count for b in report.buckets) == report.total_count
 
     def test_gap_n_reported_empty(self):
-        records = [record_for(n=3), record_for(n=3), record_for(n=5)]
-        report = stratify(records, [100.0, 90.0, 110.0], "by-n")
+        dataset = dataset_of([config_for(n=3), config_for(n=3), config_for(n=5)], [100.0] * 3)
+        report = stratify(dataset, [100.0, 90.0, 110.0], "by-n")
         labels = {b.label: b for b in report.buckets}
         assert labels["n=4"].count == 0
         assert labels["n=4"].metrics is None
 
     def test_load_bins(self):
         loads = [2.0, 7.0, 15.0, 30.0, 70.0, 100.0]
-        records = [record_for(load=l, t_star=l * 10) for l in loads]
-        report = stratify(records, [l * 10 for l in loads], "by-load")
+        dataset = dataset_of([config_for(load=l) for l in loads], [l * 10 for l in loads])
+        report = stratify(dataset, [l * 10 for l in loads], "by-load")
         assert [b.label for b in report.buckets] == ["[1,5)", "[5,10)", "[10,20)", "[20,40)", "[40,100]"]
         assert [b.count for b in report.buckets] == [1, 1, 1, 1, 2]
 
     def test_heterogeneity_bins(self):
         spreads = [(4.0, 4.0), (4.0, 10.0), (2.0, 14.0), (1.0, 14.0)]
-        records = [record_for(n=2, speeds=s, t_star=100.0) for s in spreads]
-        report = stratify(records, [100.0] * 4, "by-heterogeneity")
+        dataset = dataset_of([config_for(n=2, speeds=s) for s in spreads], [100.0] * 4)
+        report = stratify(dataset, [100.0] * 4, "by-heterogeneity")
         assert [b.label for b in report.buckets] == ["[1,2)", "[2,5)", "[5,10)", "[10,15]"]
         assert [b.count for b in report.buckets] == [1, 1, 1, 1]
 
     def test_single_bucket_matches_global_metrics(self):
         rng = np.random.default_rng(1)
-        records = [record_for(n=7, t_star=float(t)) for t in rng.uniform(50, 500, 40)]
-        preds = np.array([rec.t_star for rec in records]) * rng.uniform(0.9, 1.1, 40)
-        report = stratify(records, preds, "by-n")
-        whole = compute_metrics(preds, [rec.t_star for rec in records])
+        dataset = dataset_of([config_for(n=7)] * 40, rng.uniform(50, 500, 40))
+        preds = dataset.t_star * rng.uniform(0.9, 1.1, 40)
+        report = stratify(dataset, preds, "by-n")
+        whole = compute_metrics(preds, dataset.t_star)
         assert len(report.buckets) == 1
         assert report.buckets[0].metrics == whole
 
     def test_bucket_maes_recombine_to_global(self):
         rng = np.random.default_rng(2)
-        records = [record_for(n=int(n), t_star=float(t)) for n, t in zip(rng.integers(3, 21, 60), rng.uniform(50, 500, 60))]
-        targets = np.array([rec.t_star for rec in records])
+        ns, targets = rng.integers(3, 21, 60), rng.uniform(50, 500, 60)
+        dataset = dataset_of([config_for(n=int(n)) for n in ns], targets)
         preds = targets + rng.normal(0, 20, 60)
-        report = stratify(records, preds, "by-n")
+        report = stratify(dataset, preds, "by-n")
         weighted = sum(b.count * b.metrics.mae for b in report.buckets if b.count) / report.total_count
         assert weighted == pytest.approx(compute_metrics(preds, targets).mae)
 
+    def test_empty_or_misaligned_predictions_rejected(self):
+        dataset = dataset_of([config_for(), config_for()], [1.0, 2.0])
+        for data, preds in ((dataset, [1.0]), (dataset.take([]), [])):
+            with pytest.raises(InvalidInputError, match="at least one record"):
+                stratify(data, preds, "by-n")
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidInputError):
-            stratify([record_for()], [1.0], "by-moon-phase")
+            stratify(dataset_of([config_for()], [1.0]), [1.0], "by-moon-phase")
         with pytest.raises(InvalidInputError):
-            stratify([record_for()], [1.0], "all")
+            stratify(dataset_of([config_for()], [1.0]), [1.0], "all")
+
+
+class TestStratifyColumns:
+    @pytest.mark.parametrize(
+        "scheme, key, edges",
+        [
+            ("by-n", lambda config: config.n, None),
+            ("by-load", lambda config: config.load_gb, LOAD_BIN_EDGES),
+            ("by-heterogeneity", lambda config: extract_features(config).heterog_w, HETEROG_BIN_EDGES),
+        ],
+    )
+    def test_matches_groups_built_from_configs(self, scheme, key, edges):
+        dataset = datagen.generate_dataset(400, seed=13)
+        preds = dataset.t_star * np.random.default_rng(13).uniform(0.8, 1.2, len(dataset))
+        groups: dict[int, list[int]] = {}
+        for i, config in enumerate(dataset.configs):
+            value = key(config)
+            groups.setdefault(value if edges is None else sum(value >= e for e in edges[1:-1]), []).append(i)
+        positions = range(min(groups), max(groups) + 1) if edges is None else range(len(edges) - 1)
+        report = stratify(dataset, preds, scheme)
+        assert [b.count for b in report.buckets] == [len(groups.get(k, [])) for k in positions]
+        for bucket, k in zip(report.buckets, positions):
+            if k in groups:
+                assert bucket.metrics == compute_metrics(preds[groups[k]], dataset.t_star[groups[k]])
 
 
 class TestResidualAnalysis:
@@ -192,11 +225,9 @@ class TestEmitPlotData:
     @staticmethod
     def sample_inputs():
         rng = np.random.default_rng(9)
-        records = [
-            record_for(n=int(n), load=float(l), t_star=float(t))
-            for n, l, t in zip(rng.integers(3, 21, 80), rng.uniform(1, 100, 80), rng.uniform(50, 2000, 80))
-        ]
-        preds = np.array([rec.t_star for rec in records]) + rng.normal(0, 30, 80)
+        ns, loads, targets = rng.integers(3, 21, 80), rng.uniform(1, 100, 80), rng.uniform(50, 2000, 80)
+        dataset = dataset_of([config_for(n=int(n), load=float(l)) for n, l in zip(ns, loads)], targets)
+        preds = targets + rng.normal(0, 30, 80)
         report = TrainReport(
             epochs_run=5,
             train_losses=[0.5, 0.3, 0.2, 0.15, 0.12],
@@ -206,11 +237,11 @@ class TestEmitPlotData:
             wall_seconds=1.0,
             stopped_early=True,
         )
-        return records, preds, report
+        return dataset, preds, report
 
     def test_writes_all_tables(self, tmp_path):
-        records, preds, report = self.sample_inputs()
-        files = emit_plot_data(tmp_path, records, preds, train_report=report)
+        dataset, preds, report = self.sample_inputs()
+        files = emit_plot_data(tmp_path, dataset, preds, train_report=report)
         names = {f.name for f in files}
         assert names == {
             "loss_curves.csv",
@@ -224,25 +255,25 @@ class TestEmitPlotData:
         }
 
     def test_loss_curve_rows_match_epochs(self, tmp_path):
-        records, preds, report = self.sample_inputs()
-        files = emit_plot_data(tmp_path, records, preds, train_report=report)
+        dataset, preds, report = self.sample_inputs()
+        files = emit_plot_data(tmp_path, dataset, preds, train_report=report)
         assert files[0].name == "loss_curves.csv"
         lines = files[0].read_text().splitlines()
         assert len(lines) == 1 + report.epochs_run
-        assert "loss_curves.csv" not in {f.name for f in emit_plot_data(tmp_path / "none", records, preds)}
+        assert "loss_curves.csv" not in {f.name for f in emit_plot_data(tmp_path / "none", dataset, preds)}
 
     def test_histogram_counts_sum_to_samples(self, tmp_path):
-        records, preds, _ = self.sample_inputs()
-        emit_plot_data(tmp_path, records, preds)
+        dataset, preds, _ = self.sample_inputs()
+        emit_plot_data(tmp_path, dataset, preds)
         for name in ("error_hist.csv", "pct_error_hist.csv"):
             rows = (tmp_path / name).read_text().splitlines()[1:]
-            assert sum(int(r.split(",")[2]) for r in rows) == len(records)
+            assert sum(int(r.split(",")[2]) for r in rows) == len(dataset)
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        records, preds, report = self.sample_inputs()
+        dataset, preds, report = self.sample_inputs()
         d1, d2 = tmp_path / "one", tmp_path / "two"
-        emit_plot_data(d1, records, preds, train_report=report)
-        emit_plot_data(d2, records, preds, train_report=report)
+        emit_plot_data(d1, dataset, preds, train_report=report)
+        emit_plot_data(d2, dataset, preds, train_report=report)
         assert len(list(d1.iterdir())) == 8
         for f in sorted(d1.iterdir()):
             assert f.read_bytes() == (d2 / f.name).read_bytes()
