@@ -422,6 +422,8 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
         labels.append(t_star)
     if len(configs) != count:
         raise FileFormatError(f"{path}: header says {count} records, found {len(configs)}")
+    if not configs:
+        raise FileFormatError(f"{path}: no records")
     return header, Dataset(tuple(configs), np.reshape(rows, (count, N_FEATURES)), labels)
 
 

@@ -2,16 +2,23 @@
 
 A 16-128-64-32-1 ReLU network with inverted dropout after the first hidden
 layer, trained with explicit backpropagation, Adam, mini-batches, and early
-stopping on validation MSE. Everything runs on float64 numpy and is
-bit-deterministic given the seed. The deployable bundle packs the weights
-together with the normalization statistics so inference needs no external
-state.
+stopping on validation MSE. A deployable surrogate's weights are float32
+from training through the bundle to inference: ``train`` rounds its initial
+weights and z-scored rows to float32 and returns float32 weights,
+``save_model`` refuses any other precision and ``load_model`` returns
+float32. ``forward``, ``backward``, ``input_gradients`` and ``adam_step``
+compute in the precision of the weights they are given, so hand-built
+float64 weights still run in float64. Validation MSE, denormalization and
+the compute bound stay float64. Training is bit-deterministic given the
+seed. The bundle packs the weights together with the normalization
+statistics so inference needs no external state.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,10 +30,11 @@ from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, Tr
 from .solver import SltnConfig
 
 MODEL_FORMAT = "dltsched-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 DEFAULT_LAYER_DIMS = (16, 128, 64, 32, 1)
 EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # Feature columns of the compute lower bound on the makespan.
 _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_gb", "mean_w", "w0"))
@@ -34,11 +42,11 @@ _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_
 
 @dataclass
 class _LayerArrays:
-    """Per-layer weights and biases, all views of one float64 buffer ``flat``.
+    """Per-layer weights and biases, all views of one buffer ``flat``.
 
     ``flat`` holds every weight matrix, then every bias vector, each in C
     order, so an optimizer updates all of them with whole-buffer operations.
-    Arrays passed to the constructor are copied into a fresh buffer.
+    Arrays passed to the constructor are copied into a fresh float64 buffer.
     """
 
     weights: list[np.ndarray]
@@ -83,6 +91,10 @@ class MlpParams(_LayerArrays):
 
     def copy(self) -> "MlpParams":
         return MlpParams._on_buffer(self.flat.copy(), self)
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy with every weight and bias rounded to ``dtype``."""
+        return MlpParams._on_buffer(self.flat.astype(dtype), self)
 
 
 @dataclass
@@ -184,11 +196,12 @@ def forward(
     With ``dropout_p`` > 0 each unit of the first hidden layer is zeroed
     with that probability and survivors are scaled by 1/(1-p), so the
     expected pre-activations match inference mode and no rescaling is
-    needed at predict time.
+    needed at predict time. Inputs are cast to the weights' precision, and
+    so is the output.
     """
     if dropout_p > 0 and rng is None:
         raise InvalidInputError("dropout requires a random generator")
-    h = np.atleast_2d(np.asarray(x, dtype=float))
+    h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
     inputs: list[np.ndarray] = []
     drop_masks: list[np.ndarray | None] = []
     last = len(params.weights) - 1
@@ -202,7 +215,7 @@ def forward(
             break
         h = np.maximum(z, 0.0, out=z)  # ReLU in place; z is this pass's own buffer
         if dropout_p > 0 and k == 0:
-            keep = (rng.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
+            keep = (rng.random(h.shape) >= dropout_p).astype(h.dtype) / (1.0 - dropout_p)
             h = h * keep
             drop_masks.append(keep)
         else:
@@ -225,12 +238,13 @@ def loss_mse(predictions, targets) -> float:
 def backward(params: MlpParams, cache: ForwardCache, residuals) -> MlpGrads:
     """Exact gradient of batch MSE, honoring the forward pass's masks.
 
-    ``residuals`` are predictions minus targets for the cached batch.
+    ``residuals`` are predictions minus targets for the cached batch. The
+    gradients have the weights' precision.
     """
-    residuals = np.asarray(residuals, dtype=float)
+    residuals = np.asarray(residuals, dtype=params.flat.dtype)
     batch = residuals.shape[0]
     dout = (2.0 / batch) * residuals[:, None]
-    grads = MlpGrads._on_buffer(np.empty(params.flat.size), params)
+    grads = MlpGrads._on_buffer(np.empty_like(params.flat), params)
     for k in range(len(params.weights) - 1, -1, -1):
         np.matmul(dout.T, cache.inputs[k], out=grads.weights[k])
         dout.sum(axis=0, out=grads.biases[k])
@@ -249,10 +263,11 @@ def _times_weights(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def input_gradients(params: MlpParams, x) -> np.ndarray:
-    """Per-sample gradient of the output with respect to each input, no dropout."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Per-sample gradient of the output with respect to each input, no
+    dropout, in the weights' precision."""
+    x = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
     _, cache = forward(params, x)
-    dout = np.ones((x.shape[0], 1))
+    dout = np.ones((x.shape[0], 1), dtype=x.dtype)
     for k in range(len(params.weights) - 1, -1, -1):
         dout = _times_weights(dout, params.weights[k])
         if k > 0:
@@ -262,7 +277,8 @@ def input_gradients(params: MlpParams, x) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First and second moments, laid out like ``MlpParams.flat``."""
+    """First and second moments, laid out like ``MlpParams.flat`` and in its
+    precision."""
 
     m: np.ndarray
     v: np.ndarray
@@ -324,23 +340,26 @@ def train(
     """Train on raw feature rows and makespans; returns the bundle from the
     best-validation epoch.
 
-    Rows and targets are z-scored with ``norm``, and the reported losses are
-    MSE in that space. Shuffles each epoch, uses the final partial batch,
-    evaluates validation MSE with dropout off after every epoch, and stops
-    once validation loss has not improved for ``config.patience`` epochs.
-    ``on_epoch`` is an optional progress callback taking (epoch, train_loss,
-    val_loss). ``metadata`` must hold the labels' ``compute_intensity``,
+    Rows and targets are z-scored with ``norm`` and rounded to float32, like
+    the initial weights, so the returned weights are float32. The reported
+    losses are MSE in the z-scored space; validation MSE is taken in float64
+    against the unrounded targets. Shuffles each epoch, uses the final
+    partial batch, evaluates validation MSE with dropout off after every
+    epoch, and stops once validation loss has not improved for
+    ``config.patience`` epochs. ``on_epoch`` is an optional progress
+    callback taking (epoch, train_loss, val_loss). ``metadata`` must hold the labels' ``compute_intensity``,
     which bounds every answer of :func:`predict_features`.
     """
     if "compute_intensity" not in metadata:
         raise InvalidInputError("metadata must record the labels' compute_intensity")
     x_train, y_train = apply_normalization(norm, x_train, y_train)
     x_val, y_val = apply_normalization(norm, x_val, y_val)
+    x_train, y_train, x_val = (a.astype(np.float32) for a in (x_train, y_train, x_val))
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise InvalidInputError("training and validation sets must be nonempty")
 
     init_ss, flow_ss = np.random.SeedSequence(config.seed).spawn(2)
-    params = init_params(np.random.default_rng(init_ss), (x_train.shape[1], 128, 64, 32, 1))
+    params = init_params(np.random.default_rng(init_ss), (x_train.shape[1], 128, 64, 32, 1)).astype(np.float32)
     rng = np.random.default_rng(flow_ss)
     state = AdamState.zeros(params)
 
@@ -417,9 +436,15 @@ def predict(model: MlpModel, config: SltnConfig) -> float:
 
 
 def save_model(path, model: MlpModel) -> None:
-    """Serialize the bundle as versioned JSON; round-trips bit-exactly."""
+    """Serialize the bundle as versioned JSON; round-trips bit-exactly.
+
+    Only float32 weights are bundled: every float32 value is written as the
+    float64 number it equals, so loading rounds nothing.
+    """
     if model.params.layer_dims != DEFAULT_LAYER_DIMS:
         raise InvalidInputError(f"can only bundle the production architecture {DEFAULT_LAYER_DIMS}")
+    if model.params.flat.dtype != np.float32:
+        raise InvalidInputError(f"can only bundle float32 weights, got {model.params.flat.dtype}")
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -438,6 +463,11 @@ def save_model(path, model: MlpModel) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a bundle written by :func:`save_model`; its weights come back float32.
+
+    Any malformed, non-finite or out-of-range value raises
+    :class:`FileFormatError`.
+    """
     try:
         obj = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, OSError) as exc:
@@ -459,12 +489,13 @@ def load_model(path) -> MlpModel:
             target_std=float(obj["norm"]["target_std"]),
         )
         metadata = dict(obj["metadata"])
-    except (KeyError, TypeError, ValueError, ConstantFeatureError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConstantFeatureError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
     if "compute_intensity" not in metadata:
         raise FileFormatError(f"{path}: model metadata lacks compute_intensity")
     intensity = metadata["compute_intensity"]
-    if not (isinstance(intensity, (int, float)) and 0 < intensity < math.inf):
+    is_number = isinstance(intensity, (int, float)) and not isinstance(intensity, bool)
+    if not (is_number and 0 < intensity <= sys.float_info.max):
         raise FileFormatError(f"{path}: compute_intensity must be a positive finite number, got {intensity!r}")
     expected_weights = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
     expected_biases = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
@@ -475,6 +506,7 @@ def load_model(path) -> MlpModel:
             f"{expected_weights} and {expected_biases}"
         )
     params = MlpParams(weights, biases)
-    if not np.isfinite(params.flat).all():
-        raise FileFormatError(f"{path}: non-finite weight or bias")
-    return MlpModel(params=params, norm=norm, metadata=metadata)
+    # Checked before the cast, which would overflow to inf; NaN fails too.
+    if not (np.abs(params.flat) <= _FLOAT32_MAX).all():
+        raise FileFormatError(f"{path}: non-finite weight or bias, or one beyond float32's range")
+    return MlpModel(params=params.astype(np.float32), norm=norm, metadata=metadata)

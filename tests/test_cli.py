@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dltsched import mlp, solver
 from dltsched.cli import hybrid_predict, main, parse_config_text
@@ -197,6 +199,15 @@ class TestTrainCommand:
         assert code == 3
         assert err.splitlines()[-1].startswith("error: ") and message in err
 
+    def test_dataset_without_records_is_data_error(self, capsys, tmp_path, tiny_pipeline):
+        header = json.loads(tiny_pipeline["data"].read_text().splitlines()[0])
+        header["count"] = 0
+        empty = tmp_path / "data.jsonl"
+        empty.write_text(json.dumps(header) + "\n")
+        code, _, err = run(capsys, "train", "--data", str(empty), "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ") and "no records" in err
+
 
 class TestEvaluateCommand:
     def test_machine_metrics(self, capsys, tiny_pipeline):
@@ -300,7 +311,10 @@ class TestPredictCommand:
             (("metadata", "compute_intensity"), "abc", "compute_intensity"),
             (("metadata", "compute_intensity"), -5, "compute_intensity"),
             (("metadata", "compute_intensity"), float("inf"), "compute_intensity"),
+            (("metadata", "compute_intensity"), True, "compute_intensity"),
             (("biases", 0), [[0.0]] * 128, "bias shapes"),
+            (("weights", 0, 5, 2), 1e39, "float32"),
+            (("version",), 1, "unsupported model version"),
         ],
         ids=[
             "nan-weight",
@@ -311,7 +325,10 @@ class TestPredictCommand:
             "text-intensity",
             "negative-intensity",
             "infinite-intensity",
+            "boolean-intensity",
             "column-bias",
+            "weight-beyond-float32",
+            "version-1",
         ],
     )
     def test_bad_bundle_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, where, value, message):
@@ -331,6 +348,81 @@ class TestPredictCommand:
         )
         assert (code, out) == (3, "")
         assert err.splitlines()[-1].startswith("error: ") and message in err
+
+
+# Values no bundle field accepts; 1e39 is finite in float64 but not in
+# float32, so it is bad only where the weights are.
+_UNREADABLE = [float("nan"), float("inf"), float("-inf"), "abc", None, 10**400]
+_WEIGHT_VALUES = [*_UNREADABLE, 1e39, -1e39]
+_DIMS = mlp.DEFAULT_LAYER_DIMS
+_REQUIRED_KEYS = [
+    *[(key,) for key in ("format", "version", "layer_dims", "weights", "biases", "norm", "metadata")],
+    *[("norm", key) for key in ("feature_means", "feature_stds", "target_mean", "target_std")],
+    ("metadata", "compute_intensity"),
+]
+_LISTS = [
+    ("layer_dims",),
+    ("weights",),
+    ("biases",),
+    ("norm", "feature_means"),
+    ("norm", "feature_stds"),
+    *[("weights", k) for k in range(4)],
+    *[("biases", k) for k in range(4)],
+    *[("weights", k, 0) for k in range(4)],
+]
+
+
+@st.composite
+def bundle_mutations(draw):
+    """One malformed field of a valid bundle: ``(kind, path, value)``.
+
+    The compute intensity is a kind of its own, so that it is drawn as often
+    as the thousands of weights together.
+    """
+    kind = draw(st.sampled_from(["weight", "norm", "intensity", "drop", "resize"]))
+    if kind == "weight":
+        k = draw(st.integers(0, 3))
+        row = draw(st.integers(0, _DIMS[k + 1] - 1))
+        path = draw(st.sampled_from([("weights", k, row, draw(st.integers(0, _DIMS[k] - 1))), ("biases", k, row)]))
+        return "set", path, draw(st.sampled_from(_WEIGHT_VALUES))
+    if kind == "norm":
+        path = draw(
+            st.sampled_from(
+                [
+                    *[("norm", key, i) for key in ("feature_means", "feature_stds") for i in range(16)],
+                    ("norm", "target_mean"),
+                    ("norm", "target_std"),
+                ]
+            )
+        )
+        return "set", path, draw(st.sampled_from(_UNREADABLE))
+    if kind == "intensity":
+        return "set", ("metadata", "compute_intensity"), draw(st.sampled_from(_UNREADABLE))
+    if kind == "drop":
+        return "drop", draw(st.sampled_from(_REQUIRED_KEYS)), None
+    return "resize", draw(st.sampled_from(_LISTS)), draw(st.sampled_from([-1, 1]))
+
+
+class TestBundleFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mutation=bundle_mutations())
+    def test_malformed_bundle_exits_three(self, tmp_path_factory, tiny_pipeline, mutation):
+        kind, path, value = mutation
+        bundle = json.loads(tiny_pipeline["model"].read_text())
+        parent = bundle
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "set":
+            parent[path[-1]] = value
+        elif kind == "drop":
+            del parent[path[-1]]
+        elif value < 0:
+            parent[path[-1]].pop()
+        else:
+            parent[path[-1]].append(parent[path[-1]][-1])
+        bad = tmp_path_factory.getbasetemp() / "fuzzed-model.json"
+        bad.write_text(json.dumps(bundle))
+        assert main(["predict", "--model", str(bad), "--root-speed", "10", "--load-gb", "50", "--child", "5:100"]) == 3
 
 
 class TestHybrid:

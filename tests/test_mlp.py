@@ -155,6 +155,20 @@ class TestForward:
         ref_grads = reference_backward(params.weights, ref_inputs, ref_masks, [None] * 3, residuals)
         assert grads.flat.tobytes() == concat_bytes(ref_grads)
 
+    def test_float32_matches_float64(self):
+        # The same float32-representable weights and inputs in both
+        # precisions. Tolerance fixed from float32's eps (2**-23, about
+        # 1.2e-7) before measuring: about 80 eps of slack over four layers
+        # of up to 128-term sums.
+        params32 = init_params(3).astype(np.float32)
+        params64 = params32.astype(np.float64)
+        x = np.random.default_rng(6).normal(size=(256, 16)).astype(np.float32)
+        out32, cache32 = forward(params32, x)
+        out64, _ = forward(params64, x)
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
+        assert all(h.dtype == np.float32 for h in cache32.inputs)
+        np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)
+
     def test_caller_input_unchanged(self):
         params = init_params(2)
         x = np.random.default_rng(5).normal(size=(8, 16))
@@ -217,6 +231,22 @@ class TestBackward:
         grads = backward(params, cache, preds - np.array([5.0]))
         assert not grads.weights[0].any()
         assert not grads.biases[0].any()
+
+    def test_float32_matches_float64(self):
+        # Same weights, inputs and residuals in both precisions; every
+        # gradient within 1e-5 of the largest gradient magnitude, a bound
+        # fixed from float32's eps (2**-23) before measuring.
+        params32 = init_params(12).astype(np.float32)
+        params64 = params32.astype(np.float64)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(256, 16)).astype(np.float32)
+        out64, cache64 = forward(params64, x)
+        residuals = (out64 - rng.normal(size=256)).astype(np.float32)
+        grads32 = backward(params32, forward(params32, x)[1], residuals)
+        grads64 = backward(params64, cache64, residuals)
+        assert grads32.flat.dtype == np.float32 and grads64.flat.dtype == np.float64
+        scale = np.abs(grads64.flat).max()
+        assert np.abs(grads32.flat - grads64.flat).max() <= 1e-5 * scale
 
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -403,6 +433,14 @@ class TestTrain:
         for w1, w2 in zip(m1.params.weights, m2.params.weights):
             np.testing.assert_array_equal(w1, w2)
 
+    def test_returns_float32_weights_byte_identical_across_runs(self):
+        x_tr, y_tr, x_val, y_val = self.toy_sets(seed=2)
+        cfg = TrainConfig(max_epochs=5, seed=3, batch_size=32)
+        m1, _ = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        m2, _ = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        assert m1.params.flat.dtype == np.float32
+        assert m1.params.flat.tobytes() == m2.params.flat.tobytes()
+
     def test_returns_best_epoch_params(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=3)
         cfg = TrainConfig(max_epochs=12, patience=3, seed=1, batch_size=32, dropout_p=0.5)
@@ -500,15 +538,19 @@ class TestTrain:
 class TestModelBundle:
     @staticmethod
     def small_model():
+        """A bundlable model: float32 weights, as ``train`` returns them."""
         records = datagen.generate_dataset(120, seed=21)
         norm = datagen.fit_normalization(records)
-        return MlpModel(params=init_params(8), norm=norm, metadata={"train_seed": 8, "compute_intensity": 100.0})
+        params = init_params(8).astype(np.float32)
+        return MlpModel(params=params, norm=norm, metadata={"train_seed": 8, "compute_intensity": 100.0})
 
     def test_round_trip_preserves_weights(self, tmp_path):
         model = self.small_model()
         path = tmp_path / "model.json"
         save_model(path, model)
         loaded = load_model(path)
+        assert loaded.params.flat.dtype == np.float32
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
         for w0, w1 in zip(model.params.weights, loaded.params.weights):
             np.testing.assert_array_equal(w0, w1)
         assert loaded.norm == model.norm
@@ -583,6 +625,12 @@ class TestModelBundle:
         with pytest.raises(FileFormatError, match="layer dimensions"):
             load_model(path)
 
+    def test_float64_weights_not_bundlable(self, tmp_path):
+        model = self.small_model()
+        model.params = model.params.astype(np.float64)
+        with pytest.raises(InvalidInputError, match="float32"):
+            save_model(tmp_path / "m.json", model)
+
     def test_nondefault_architecture_not_bundlable(self, tmp_path):
         model = MlpModel(params=init_params(0, (16, 4, 1)), norm=IDENTITY_NORM)
         with pytest.raises(InvalidInputError):
@@ -610,13 +658,28 @@ class TestPredict:
         assert predict(constant_model(1e9, compute_intensity=10_000.0), config) == 1e9
 
     def test_predict_agrees_with_predict_features(self):
+        # On float64 weights a one-row pass and a batched one agree to 1e-12.
         configs = [datagen.sample_config(datagen.record_rng(13, i)) for i in range(40)]
         rows = np.array([datagen.extract_features(c).as_array() for c in configs])
-        for model in (TestModelBundle.small_model(), constant_model(-5.0, compute_intensity=100.0)):
+        model64 = TestModelBundle.small_model()
+        model64.params = model64.params.astype(np.float64)
+        for model in (model64, constant_model(-5.0, compute_intensity=100.0)):
             batched = predict_features(model, rows)
             assert np.all(batched > 0)
             singles = [predict(model, c) for c in configs]
             np.testing.assert_allclose(singles, batched, rtol=1e-12)
+
+    def test_float32_predict_agrees_with_predict_features(self):
+        # In float32 a one-row product and a batched one may round
+        # differently, by a few eps (2**-23) of the output's scale; allow
+        # 1e-5 in the z-scored space, about 80 eps.
+        configs = [datagen.sample_config(datagen.record_rng(13, i)) for i in range(40)]
+        rows = np.array([datagen.extract_features(c).as_array() for c in configs])
+        model = TestModelBundle.small_model()
+        batched = predict_features(model, rows)
+        singles = np.array([predict(model, c) for c in configs])
+        assert batched.dtype == np.float64
+        np.testing.assert_allclose(singles, batched, rtol=0, atol=1e-5 * model.norm.target_std)
 
     def test_caller_rows_unchanged(self):
         configs = [datagen.sample_config(datagen.record_rng(17, i)) for i in range(20)]
