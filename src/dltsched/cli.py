@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import datagen, evaluation, mlp, solver
 from .errors import (
@@ -216,7 +220,6 @@ def cmd_train(args) -> int:
     config = mlp.TrainConfig(
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
-        dropout_p=args.dropout,
         patience=args.patience,
         max_epochs=args.max_epochs,
         seed=args.seed,
@@ -268,7 +271,7 @@ def cmd_evaluate(args) -> int:
         split_seed = model.metadata.get("split_seed")
     if args.split != "all" and split_seed is None:
         raise InvalidInputError("model metadata lacks split_seed; pass --split-seed or --split all")
-    subset = _select_split(dataset, args.split, int(split_seed) if split_seed is not None else 0)
+    subset = _select_split(dataset, args.split, split_seed if split_seed is not None else 0)
     _progress(f"evaluating {len(subset)} records ({args.split} split)")
     predictions = mlp.predict_features(model, subset.features)
     metrics = evaluation.compute_metrics(predictions, subset.t_star)
@@ -304,10 +307,32 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _surrogate_range():
+    """Run a surrogate query whose system may lie outside double range.
+
+    An overflow inside the network only makes the answer non-finite, which
+    ``_finite_makespan`` catches; one in the features (speeds near 1e308)
+    raises ``OverflowError``, which becomes ``NumericError`` here.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except OverflowError as exc:
+        raise NumericError(f"system is outside the surrogate's range: {exc}") from exc
+
+
+def _finite_makespan(t_star: float) -> None:
+    if not math.isfinite(t_star):
+        raise NumericError(f"makespan {t_star!r} is not finite; the system is outside the surrogate's range")
+
+
 def cmd_predict(args) -> int:
     model = mlp.load_model(args.model)
     config = _config_from_args(args)
-    t_star = mlp.predict(model, config)
+    with _surrogate_range():
+        t_star = mlp.predict(model, config)
+    _finite_makespan(t_star)
     if args.format == "machine":
         print(json.dumps({"t_star_s": t_star}, separators=(",", ":")))
     else:
@@ -316,9 +341,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
+    if math.isnan(args.threshold):
+        raise InvalidInputError("--threshold must be a number of seconds, got nan")
     model = mlp.load_model(args.model)
     config = _config_from_args(args)
-    decision = hybrid_predict(model, config, args.threshold)
+    with _surrogate_range():
+        decision = hybrid_predict(model, config, args.threshold)
+    _finite_makespan(decision.t_star)
     if args.format == "machine":
         print(
             json.dumps(
@@ -368,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, help="defaults to --seed")
     p.add_argument("--learning-rate", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--dropout", type=float, choices=(0.0,), default=0.0, help="only 0: the network has no dropout")
     p.add_argument("--patience", type=int, default=10)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--report", help="write the train report JSON here")
@@ -417,7 +446,3 @@ def main(argv=None) -> int:
     except (DltschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -47,8 +47,8 @@ class SamplerRanges:
             ("speed_range", self.speed_range),
             ("bandwidth_range", self.bandwidth_range),
         ):
-            if not (0 < lo <= hi):
-                raise InvalidInputError(f"{name} must satisfy 0 < min <= max, got ({lo}, {hi})")
+            if not 0 < lo <= hi < math.inf:
+                raise InvalidInputError(f"{name} must satisfy 0 < min <= max < inf, got ({lo}, {hi})")
 
 
 class FeatureVector(NamedTuple):
@@ -243,6 +243,8 @@ def generate_dataset(
     """
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     configs = []
     features = np.empty((count, N_FEATURES))
     t_star = np.empty(count)
@@ -261,6 +263,8 @@ def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Datase
     shuffled from dataset order by one permutation drawn from ``seed``."""
     if not len(dataset):
         raise InvalidInputError("cannot split an empty dataset")
+    if seed < 0:
+        raise InvalidInputError(f"split seed must be non-negative, got {seed}")
     ns = dataset.column("n")
     rng = np.random.default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])

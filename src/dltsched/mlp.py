@@ -1,17 +1,17 @@
 """From-scratch feedforward regressor for makespan prediction.
 
-A 16-128-64-32-1 ReLU network with inverted dropout after the first hidden
-layer, trained with explicit backpropagation, Adam, mini-batches, and early
-stopping on validation MSE. A deployable surrogate's weights are float32
-from training through the bundle to inference: ``train`` rounds its initial
-weights and z-scored rows to float32 and returns float32 weights,
-``save_model`` refuses any other precision and ``load_model`` returns
-float32. ``forward``, ``backward``, ``input_gradients`` and ``adam_step``
-compute in the precision of the weights they are given, so hand-built
-float64 weights still run in float64. Validation MSE, denormalization and
-the compute bound stay float64. Training is bit-deterministic given the
-seed. The bundle packs the weights together with the normalization
-statistics so inference needs no external state.
+A 16-128-64-32-1 ReLU network trained with explicit backpropagation, Adam,
+mini-batches, and early stopping on validation MSE. A deployable
+surrogate's weights are float32 from training through the bundle to
+inference: ``train`` rounds its initial weights and z-scored rows to
+float32 and returns float32 weights, ``save_model`` refuses any other
+precision and ``load_model`` returns float32. ``forward``, ``backward``,
+``input_gradients`` and ``adam_step`` compute in the precision of the
+weights they are given, so hand-built float64 weights still run in float64.
+Validation MSE, denormalization and the compute bound stay float64.
+Training is bit-deterministic given the seed. The bundle packs the weights
+together with the normalization statistics so inference needs no external
+state.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_
 
 
 @dataclass
-class _LayerArrays:
-    """Per-layer weights and biases, all views of one buffer ``flat``.
+class MlpParams:
+    """Layer weights and biases; weights[k] has shape (dims[k+1], dims[k]).
 
-    ``flat`` holds every weight matrix, then every bias vector, each in C
-    order, so an optimizer updates all of them with whole-buffer operations.
+    Every array is a view of one buffer ``flat``, which holds every weight
+    matrix, then every bias vector, each in C order, so an optimizer updates
+    all of them with whole-buffer operations. Gradients share this layout.
     Arrays passed to the constructor are copied into a fresh float64 buffer.
     """
 
@@ -56,31 +57,26 @@ class _LayerArrays:
     def __post_init__(self):
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        self._bind(np.concatenate([a.ravel() for a in (*self.weights, *self.biases)]), self)
+        self._bind(np.concatenate([a.ravel() for a in (*self.weights, *self.biases)]))
 
-    def _bind(self, flat: np.ndarray, like: "_LayerArrays") -> None:
+    def _bind(self, flat: np.ndarray) -> None:
         """Make ``flat`` the buffer and the arrays consecutive views of it,
-        shaped like ``like``'s arrays."""
+        keeping the arrays' shapes."""
         views = []
         start = 0
-        for a in (*like.weights, *like.biases):
+        for a in (*self.weights, *self.biases):
             stop = start + a.size
             views.append(flat[start:stop].reshape(a.shape))
             start = stop
-        n_weights = len(like.weights)
+        n_weights = len(self.weights)
         self.flat, self.weights, self.biases = flat, views[:n_weights], views[n_weights:]
 
-    @classmethod
-    def _on_buffer(cls, flat: np.ndarray, like: "_LayerArrays"):
-        """An instance whose arrays are views of ``flat``, shaped like ``like``'s."""
-        obj = cls.__new__(cls)
-        obj._bind(flat, like)
-        return obj
-
-
-@dataclass
-class MlpParams(_LayerArrays):
-    """Layer weights and biases; weights[k] has shape (dims[k+1], dims[k])."""
+    def _on_buffer(self, flat: np.ndarray) -> "MlpParams":
+        """Arrays shaped like these, as views of ``flat``."""
+        twin = MlpParams.__new__(MlpParams)
+        twin.weights, twin.biases = self.weights, self.biases
+        twin._bind(flat)
+        return twin
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -90,58 +86,34 @@ class MlpParams(_LayerArrays):
         return self.flat.size
 
     def copy(self) -> "MlpParams":
-        return MlpParams._on_buffer(self.flat.copy(), self)
+        return self._on_buffer(self.flat.copy())
 
     def astype(self, dtype) -> "MlpParams":
         """A copy with every weight and bias rounded to ``dtype``."""
-        return MlpParams._on_buffer(self.flat.astype(dtype), self)
-
-
-@dataclass
-class MlpGrads(_LayerArrays):
-    """Gradients laid out like the parameters they belong to."""
-
-
-@dataclass
-class ForwardCache:
-    """Activations from one forward pass, consumed by backward().
-
-    backward() takes each ReLU's mask as ``inputs[k] > 0``. Where dropout
-    zeroed an active unit, its keep mask zeroes the gradient anyway.
-    """
-
-    inputs: list[np.ndarray]  # activation fed into each layer
-    drop_masks: list[np.ndarray | None]  # scaled keep masks, per hidden layer
+        return self._on_buffer(self.flat.astype(dtype))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
-
-    Dropout is off by default: on this smooth regression any p = 0.2
-    placement floors the validation loss. When enabled it acts after the
-    first hidden layer only, because mask noise next to the single-unit
-    linear head biases the fit toward the target mean.
-    """
+    """Training hyperparameters."""
 
     learning_rate: float = 0.001
     batch_size: int = 256
-    dropout_p: float = 0.0
     patience: int = 10
     max_epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidInputError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidInputError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InvalidInputError(f"batch size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidInputError(f"dropout probability must be in [0, 1), got {self.dropout_p}")
         if self.patience < 1:
             raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise InvalidInputError(f"max epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -185,42 +157,24 @@ def init_params(seed, layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS) -> MlpPa
     return params
 
 
-def forward(
-    params: MlpParams,
-    x,
-    dropout_p: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network on a batch (or single vector) of inputs.
 
-    With ``dropout_p`` > 0 each unit of the first hidden layer is zeroed
-    with that probability and survivors are scaled by 1/(1-p), so the
-    expected pre-activations match inference mode and no rescaling is
-    needed at predict time. Inputs are cast to the weights' precision, and
+    Returns the outputs and the activation fed into each layer, which
+    :func:`backward` takes. Inputs are cast to the weights' precision, and
     so is the output.
     """
-    if dropout_p > 0 and rng is None:
-        raise InvalidInputError("dropout requires a random generator")
     h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
-    inputs: list[np.ndarray] = []
-    drop_masks: list[np.ndarray | None] = []
-    last = len(params.weights) - 1
-    out = None
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+    inputs = []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
         inputs.append(h)
         z = h @ w.T
         z += b
-        if k == last:
-            out = z[:, 0]
-            break
         h = np.maximum(z, 0.0, out=z)  # ReLU in place; z is this pass's own buffer
-        if dropout_p > 0 and k == 0:
-            keep = (rng.random(h.shape) >= dropout_p).astype(h.dtype) / (1.0 - dropout_p)
-            h = h * keep
-            drop_masks.append(keep)
-        else:
-            drop_masks.append(None)
-    return out, ForwardCache(inputs=inputs, drop_masks=drop_masks)
+    inputs.append(h)
+    out = h @ params.weights[-1].T
+    out += params.biases[-1]
+    return out[:, 0], inputs
 
 
 def loss_mse(predictions, targets) -> float:
@@ -235,24 +189,22 @@ def loss_mse(predictions, targets) -> float:
     return float(diff @ diff) / diff.size
 
 
-def backward(params: MlpParams, cache: ForwardCache, residuals) -> MlpGrads:
-    """Exact gradient of batch MSE, honoring the forward pass's masks.
+def backward(params: MlpParams, inputs: list[np.ndarray], residuals) -> MlpParams:
+    """Exact gradient of batch MSE, laid out like ``params`` on a fresh buffer.
 
-    ``residuals`` are predictions minus targets for the cached batch. The
-    gradients have the weights' precision.
+    ``inputs`` are the layer inputs :func:`forward` returned for the batch,
+    and ``residuals`` its predictions minus targets. Each ReLU's mask is read
+    back as ``inputs[k] > 0``. The gradients have the weights' precision.
     """
     residuals = np.asarray(residuals, dtype=params.flat.dtype)
-    batch = residuals.shape[0]
-    dout = (2.0 / batch) * residuals[:, None]
-    grads = MlpGrads._on_buffer(np.empty_like(params.flat), params)
+    dout = (2.0 / residuals.shape[0]) * residuals[:, None]
+    grads = params._on_buffer(np.empty_like(params.flat))
     for k in range(len(params.weights) - 1, -1, -1):
-        np.matmul(dout.T, cache.inputs[k], out=grads.weights[k])
+        np.matmul(dout.T, inputs[k], out=grads.weights[k])
         dout.sum(axis=0, out=grads.biases[k])
         if k > 0:
             dout = _times_weights(dout, params.weights[k])
-            if cache.drop_masks[k - 1] is not None:
-                dout *= cache.drop_masks[k - 1]
-            dout *= cache.inputs[k] > 0
+            dout *= inputs[k] > 0
     return grads
 
 
@@ -263,15 +215,15 @@ def _times_weights(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def input_gradients(params: MlpParams, x) -> np.ndarray:
-    """Per-sample gradient of the output with respect to each input, no
-    dropout, in the weights' precision."""
+    """Per-sample gradient of the output with respect to each input, in the
+    weights' precision."""
     x = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
-    _, cache = forward(params, x)
+    _, inputs = forward(params, x)
     dout = np.ones((x.shape[0], 1), dtype=x.dtype)
     for k in range(len(params.weights) - 1, -1, -1):
         dout = _times_weights(dout, params.weights[k])
         if k > 0:
-            dout *= cache.inputs[k] > 0
+            dout *= inputs[k] > 0
     return dout
 
 
@@ -291,7 +243,7 @@ class AdamState:
 
 def adam_step(
     params: MlpParams,
-    grads: MlpGrads,
+    grads: MlpParams,
     state: AdamState,
     learning_rate: float,
     beta1: float = 0.9,
@@ -343,12 +295,14 @@ def train(
     Rows and targets are z-scored with ``norm`` and rounded to float32, like
     the initial weights, so the returned weights are float32. The reported
     losses are MSE in the z-scored space; validation MSE is taken in float64
-    against the unrounded targets. Shuffles each epoch, uses the final
-    partial batch, evaluates validation MSE with dropout off after every
-    epoch, and stops once validation loss has not improved for
-    ``config.patience`` epochs. ``on_epoch`` is an optional progress
-    callback taking (epoch, train_loss, val_loss). ``metadata`` must hold the labels' ``compute_intensity``,
-    which bounds every answer of :func:`predict_features`.
+    against the unrounded targets. ``config.seed`` spawns two streams: one
+    draws the initial weights, the other shuffles the rows each epoch. Uses
+    the final partial batch, evaluates validation MSE after every epoch, and
+    stops once validation loss has not improved for ``config.patience``
+    epochs. ``on_epoch`` is an optional progress callback taking (epoch,
+    train_loss, val_loss). ``metadata`` must hold the labels'
+    ``compute_intensity``, which bounds every answer of
+    :func:`predict_features`.
     """
     if "compute_intensity" not in metadata:
         raise InvalidInputError("metadata must record the labels' compute_intensity")
@@ -358,9 +312,9 @@ def train(
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise InvalidInputError("training and validation sets must be nonempty")
 
-    init_ss, flow_ss = np.random.SeedSequence(config.seed).spawn(2)
+    init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     params = init_params(np.random.default_rng(init_ss), (x_train.shape[1], 128, 64, 32, 1)).astype(np.float32)
-    rng = np.random.default_rng(flow_ss)
+    rng = np.random.default_rng(shuffle_ss)
     state = AdamState.zeros(params)
 
     n_train = x_train.shape[0]
@@ -379,11 +333,10 @@ def train(
         sq_sum = 0.0
         for start in range(0, n_train, config.batch_size):
             stop = start + config.batch_size
-            preds, cache = forward(params, x_epoch[start:stop], dropout_p=config.dropout_p, rng=rng)
+            preds, inputs = forward(params, x_epoch[start:stop])
             residuals = preds - y_epoch[start:stop]
             sq_sum += float(residuals @ residuals)
-            grads = backward(params, cache, residuals)
-            adam_step(params, grads, state, config.learning_rate)
+            adam_step(params, backward(params, inputs, residuals), state, config.learning_rate)
         train_loss = sq_sum / n_train
         val_preds, _ = forward(params, x_val)
         val_loss = loss_mse(val_preds, y_val)
@@ -497,6 +450,9 @@ def load_model(path) -> MlpModel:
     is_number = isinstance(intensity, (int, float)) and not isinstance(intensity, bool)
     if not (is_number and 0 < intensity <= sys.float_info.max):
         raise FileFormatError(f"{path}: compute_intensity must be a positive finite number, got {intensity!r}")
+    split_seed = metadata.get("split_seed")
+    if split_seed is not None and not (type(split_seed) is int and split_seed >= 0):
+        raise FileFormatError(f"{path}: split_seed must be a non-negative integer, got {split_seed!r}")
     expected_weights = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
     expected_biases = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
     weight_shapes, bias_shapes = [w.shape for w in weights], [b.shape for b in biases]

@@ -49,8 +49,8 @@ class SltnConfig:
                 f"expected {self.n} child speeds and bandwidths, got "
                 f"{len(self.child_speeds)} and {len(self.link_bandwidths)}"
             )
-        if self.load_gb <= 0:
-            raise InvalidInputError(f"load must be positive, got {self.load_gb}")
+        if not 0 < self.load_gb < math.inf:
+            raise InvalidInputError(f"load must be positive and finite, got {self.load_gb}")
         for name, values in (
             ("speed", (self.root_speed, *self.child_speeds)),
             ("bandwidth", self.link_bandwidths),
@@ -115,6 +115,8 @@ class LoadAllocation:
                 )
         if not (math.isfinite(self.t_star_norm) and self.t_star_norm > 0):
             raise NumericError(f"non-finite or non-positive makespan {self.t_star_norm!r}")
+        if not 0 < self.t_star < math.inf:
+            raise NumericError(f"makespan {self.t_star!r} s outside the double range; load too large or too small")
 
     @property
     def n(self) -> int:

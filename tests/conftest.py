@@ -7,9 +7,7 @@ from dltsched import datagen, mlp
 # Frozen desk-scale experiment: 20k samples in the compute-dominated regime
 # where the summary features determine the makespan tightly enough for
 # surrogate training (at the mixed-regime default intensity the label keeps
-# an irreducible ordering noise floor around R2 ~ 0.86). Dropout stays at its
-# default of off: with any p=0.2 placement the validation loss floors an
-# order of magnitude above the achievable 0.004-0.006 at every scale tried.
+# an irreducible ordering noise floor around R2 ~ 0.86).
 DESK_SEED = 7
 DESK_COUNT = 20_000
 DESK_INTENSITY = 10_000.0

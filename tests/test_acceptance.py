@@ -251,7 +251,7 @@ class TestDeterminismCriterion:
                 train.t_star,
                 val.features,
                 val.t_star,
-                mlp.TrainConfig(seed=3, max_epochs=4, dropout_p=0.2),
+                mlp.TrainConfig(seed=3, max_epochs=4),
                 datagen.fit_normalization(train),
                 metadata={"train_seed": 3, "split_seed": 3, "compute_intensity": DESK_INTENSITY},
             )

@@ -1,9 +1,17 @@
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dltsched
 from dltsched import mlp, solver
 from dltsched.cli import hybrid_predict, main, parse_config_text
 from dltsched.errors import InvalidInputError
@@ -152,6 +160,15 @@ class TestTrainCommand:
         assert len(payload["train_losses"]) == 1
         assert "trained 1 epochs" in out
 
+    def test_dropout_zero_is_accepted(self, capsys, tmp_path, tiny_pipeline):
+        argv = ["train", "--data", str(tiny_pipeline["data"]), "--out", str(tmp_path / "m.json"), "--max-epochs", "1"]
+        assert run(capsys, *argv, "--dropout", "0")[0] == 0
+
+    def test_nonzero_dropout_exits_two(self, tmp_path, tiny_pipeline):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tiny_pipeline["data"]), "--out", str(tmp_path / "m.json"), "--dropout", "0.2"])
+        assert exc.value.code == 2
+
     def test_model_is_loadable(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])
         assert model.params.param_count() == 12_545
@@ -262,6 +279,20 @@ class TestEvaluateCommand:
         assert code == 3
         assert err.splitlines()[-1].startswith("error: ") and "not a train report" in err
 
+    @pytest.mark.parametrize("drop", [False, True], ids=["null", "absent"])
+    def test_bundle_without_split_seed_needs_flag(self, capsys, tmp_path, tiny_pipeline, drop):
+        bundle = json.loads(tiny_pipeline["model"].read_text())
+        if drop:
+            del bundle["metadata"]["split_seed"]
+        else:
+            bundle["metadata"]["split_seed"] = None
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(bundle))
+        argv = ["evaluate", "--model", str(model), "--data", str(tiny_pipeline["data"]), "--format", "machine"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "lacks split_seed" in err
+        assert run(capsys, *argv, "--split-seed", "1")[0] == 0
+
     def test_intensity_mismatch_is_data_error(self, capsys, tmp_path, tiny_pipeline):
         other = tmp_path / "other.jsonl"
         run(capsys, "generate", "--count", "40", "--seed", "2", "--out", str(other), "--compute-intensity", "50")
@@ -315,6 +346,9 @@ class TestPredictCommand:
             (("biases", 0), [[0.0]] * 128, "bias shapes"),
             (("weights", 0, 5, 2), 1e39, "float32"),
             (("version",), 1, "unsupported model version"),
+            (("metadata", "split_seed"), "x", "split_seed"),
+            (("metadata", "split_seed"), [1], "split_seed"),
+            (("metadata", "split_seed"), -1, "split_seed"),
         ],
         ids=[
             "nan-weight",
@@ -329,6 +363,9 @@ class TestPredictCommand:
             "column-bias",
             "weight-beyond-float32",
             "version-1",
+            "text-split-seed",
+            "list-split-seed",
+            "negative-split-seed",
         ],
     )
     def test_bad_bundle_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, where, value, message):
@@ -467,3 +504,117 @@ class TestHybrid:
         assert payload["source"] == "dlt-verified"
         exact = solver.solve_optimal(solver.to_time_rates(self.config(), 100.0), 20.0)
         assert payload["t_star_s"] == pytest.approx(exact.t_star, rel=1e-12)
+
+
+_SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--count", "5", "--seed", "-1", "--out", "{out}"],
+        ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--load-range", "1", "inf"],
+        ["train", "--data", "{data}", "--out", "{out}", "--seed", "-1", "--split-seed", "1"],
+        ["train", "--data", "{data}", "--out", "{out}", "--split-seed", "-3"],
+        ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "nan"],
+        ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "inf"],
+        ["evaluate", "--model", "{model}", "--data", "{data}", "--split-seed", "-2"],
+        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
+        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "inf", "--child", "5:100"],
+        ["predict", "--model", "{model}", "--config", "{config}"],
+        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
+        ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "nan"],
+    ],
+    ids=[
+        "generate-negative-seed",
+        "generate-infinite-load-range",
+        "train-negative-seed",
+        "train-negative-split-seed",
+        "train-nan-learning-rate",
+        "train-infinite-learning-rate",
+        "evaluate-negative-split-seed",
+        "predict-nan-load",
+        "predict-infinite-load",
+        "predict-nan-load-in-config",
+        "hybrid-nan-load",
+        "hybrid-nan-threshold",
+    ],
+)
+def test_bad_value_is_usage_error(capsys, tmp_path, tiny_pipeline, argv):
+    config = tmp_path / "system.txt"
+    config.write_text("root_speed 10\nload_gb nan\nchild 5 100\n")
+    paths = {"out": tmp_path / "out", "data": tiny_pipeline["data"], "model": tiny_pipeline["model"], "config": config}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100"],
+        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100"],
+        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100"],
+        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "5", "--child", "1e308:100", "--child", "1e308:100"],
+    ],
+    ids=["solve-huge-load", "predict-huge-load", "hybrid-huge-load", "predict-huge-speeds"],
+)
+def test_answer_outside_double_range_is_numeric_error(capsys, tiny_pipeline, argv):
+    code, out, err = run(capsys, *(arg.format(model=tiny_pipeline["model"]) for arg in argv), "--format", "machine")
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+_ORDINARY_NUMBERS = ["1", "7.5", "120"]
+_EDGE_NUMBERS = ["nan", "inf", "-inf", "-0", "1e308", "1e-308"]
+
+
+@st.composite
+def config_texts(draw):
+    """A system description: the three keys, some repeated, in any order,
+    each followed by a space or ``=``. One value in five is an edge case and
+    one line in five has one value too many or too few, so that many texts
+    still describe a whole system and reach the surrogate."""
+    extra = draw(st.lists(st.sampled_from(["root_speed", "load_gb", "child"]), max_size=3))
+    lines = []
+    for key in draw(st.permutations(["root_speed", "load_gb", "child", *extra])):
+        arity = 2 if key == "child" else 1
+        count = draw(st.sampled_from([arity - 1, arity + 1])) if draw(st.integers(0, 4)) == 0 else arity
+        values = [
+            draw(st.sampled_from(_EDGE_NUMBERS if draw(st.integers(0, 4)) == 0 else _ORDINARY_NUMBERS))
+            for _ in range(count)
+        ]
+        lines.append(key + draw(st.sampled_from([" ", " = ", "="])) + " ".join(values))
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=config_texts())
+    def test_config_is_rejected_or_answered(self, tmp_path_factory, tiny_pipeline, text):
+        try:
+            config = parse_config_text(text)
+        except InvalidInputError:
+            pass
+        else:
+            numbers = (config.root_speed, config.load_gb, *config.child_speeds, *config.link_bandwidths)
+            assert all(0 < v < math.inf for v in numbers)
+        path = tmp_path_factory.getbasetemp() / "fuzzed-system.txt"
+        path.write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["predict", "--model", str(tiny_pipeline["model"]), "--config", str(path), "--format", "machine"])
+        assert code in (0, 2, 4)
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+        if code == 0:
+            assert math.isfinite(json.loads(out.getvalue())["t_star_s"])
+
+
+def test_package_runs_as_module_without_warnings():
+    src = str(Path(dltsched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dltsched", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: dltsched")

@@ -43,7 +43,7 @@ def random_batch(rng, count, dim=16):
     return rng.normal(size=(count, dim)), rng.normal(size=count)
 
 
-def reference_forward(weights, biases, x, first_drop_mask=None):
+def reference_forward(weights, biases, x):
     """Per-layer forward with an ``np.where`` ReLU; returns the output, the
     layer inputs and the ReLU masks."""
     h = x
@@ -55,11 +55,9 @@ def reference_forward(weights, biases, x, first_drop_mask=None):
             return z[:, 0], inputs, relu_masks
         relu_masks.append(z > 0)
         h = np.where(z > 0, z, 0.0)
-        if k == 0 and first_drop_mask is not None:
-            h = h * first_drop_mask
 
 
-def reference_backward(weights, inputs, relu_masks, drop_masks, residuals):
+def reference_backward(weights, inputs, relu_masks, residuals):
     """Per-array backpropagation of batch MSE, one fresh array per gradient."""
     dout = (2.0 / residuals.shape[0]) * residuals[:, None]
     d_weights, d_biases = [None] * len(weights), [None] * len(weights)
@@ -68,8 +66,6 @@ def reference_backward(weights, inputs, relu_masks, drop_masks, residuals):
         d_biases[k] = dout.sum(axis=0)
         if k > 0:
             dout = dout @ weights[k]
-            if drop_masks[k - 1] is not None:
-                dout *= drop_masks[k - 1]
             dout *= relu_masks[k - 1]
     return [*d_weights, *d_biases]
 
@@ -138,21 +134,21 @@ class TestForward:
         # The in-place ReLU must give the bits of np.where(z > 0, z, 0.0),
         # zero pre-activations included: zero rows under zero biases and a
         # hidden unit whose weights are all zero. backward() reads the ReLU
-        # masks back from the cached activations, so its gradients must
-        # match backpropagation through the np.where masks bit for bit.
+        # masks back from the layer inputs, so its gradients must match
+        # backpropagation through the np.where masks bit for bit.
         params = init_params(3)
         params.weights[1][5] = 0.0
         x = np.random.default_rng(4).normal(size=(64, 16))
         x[::7] = 0.0
-        out, cache = forward(params, x)
+        out, inputs = forward(params, x)
         ref_out, ref_inputs, ref_masks = reference_forward(params.weights, params.biases, x)
         assert not ref_masks[0][::7].any() and not ref_masks[1][:, 5].any()
         assert out.tobytes() == ref_out.tobytes()
-        for got, ref in zip(cache.inputs, ref_inputs, strict=True):
+        for got, ref in zip(inputs, ref_inputs, strict=True):
             assert got.tobytes() == ref.tobytes()
         residuals = out - np.random.default_rng(5).normal(size=64)
-        grads = backward(params, cache, residuals)
-        ref_grads = reference_backward(params.weights, ref_inputs, ref_masks, [None] * 3, residuals)
+        grads = backward(params, inputs, residuals)
+        ref_grads = reference_backward(params.weights, ref_inputs, ref_masks, residuals)
         assert grads.flat.tobytes() == concat_bytes(ref_grads)
 
     def test_float32_matches_float64(self):
@@ -163,10 +159,10 @@ class TestForward:
         params32 = init_params(3).astype(np.float32)
         params64 = params32.astype(np.float64)
         x = np.random.default_rng(6).normal(size=(256, 16)).astype(np.float32)
-        out32, cache32 = forward(params32, x)
+        out32, inputs32 = forward(params32, x)
         out64, _ = forward(params64, x)
         assert out32.dtype == np.float32 and out64.dtype == np.float64
-        assert all(h.dtype == np.float32 for h in cache32.inputs)
+        assert all(h.dtype == np.float32 for h in inputs32)
         np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)
 
     def test_caller_input_unchanged(self):
@@ -175,27 +171,7 @@ class TestForward:
         before = x.copy()
         forward(params, x)
         forward(params, x[0])
-        forward(params, x, dropout_p=0.3, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(x, before)
-
-    def test_dropout_requires_rng(self):
-        with pytest.raises(InvalidInputError):
-            forward(init_params(0), np.zeros((1, 16)), dropout_p=0.2)
-
-    def test_dropout_expectation_matches_inference(self):
-        # Inverted dropout: averaged over many masks, the dropped hidden
-        # activations converge to the no-dropout activations.
-        params = init_params(6)
-        x = np.random.default_rng(1).normal(size=16)
-        _, infer_cache = forward(params, x)
-        h1 = infer_cache.inputs[1][0]
-        tiled = np.tile(x, (20_000, 1))
-        _, train_cache = forward(
-            params, tiled, dropout_p=0.2, rng=np.random.default_rng(2)
-        )
-        averaged = train_cache.inputs[1].mean(axis=0)
-        active = np.abs(h1) > 0.1 * np.abs(h1).max()
-        np.testing.assert_allclose(averaged[active], h1[active], rtol=0.02)
 
 
 class TestLoss:
@@ -217,8 +193,8 @@ class TestBackward:
     def test_zero_residuals_zero_gradients(self):
         params = init_params(1, (16, 4, 3, 2, 1))
         x = np.random.default_rng(3).normal(size=(6, 16))
-        _, cache = forward(params, x)
-        grads = backward(params, cache, np.zeros(6))
+        _, inputs = forward(params, x)
+        grads = backward(params, inputs, np.zeros(6))
         for g in (*grads.weights, *grads.biases):
             assert not g.any()
 
@@ -227,8 +203,8 @@ class TestBackward:
         params.weights[0][:] = [[-1.0, 0.0], [0.0, -1.0]]
         params.weights[1][:] = 1.0
         x = np.array([[1.0, 2.0]])
-        preds, cache = forward(params, x)
-        grads = backward(params, cache, preds - np.array([5.0]))
+        preds, inputs = forward(params, x)
+        grads = backward(params, inputs, preds - np.array([5.0]))
         assert not grads.weights[0].any()
         assert not grads.biases[0].any()
 
@@ -240,10 +216,10 @@ class TestBackward:
         params64 = params32.astype(np.float64)
         rng = np.random.default_rng(12)
         x = rng.normal(size=(256, 16)).astype(np.float32)
-        out64, cache64 = forward(params64, x)
+        out64, inputs64 = forward(params64, x)
         residuals = (out64 - rng.normal(size=256)).astype(np.float32)
         grads32 = backward(params32, forward(params32, x)[1], residuals)
-        grads64 = backward(params64, cache64, residuals)
+        grads64 = backward(params64, inputs64, residuals)
         assert grads32.flat.dtype == np.float32 and grads64.flat.dtype == np.float64
         scale = np.abs(grads64.flat).max()
         assert np.abs(grads32.flat - grads64.flat).max() <= 1e-5 * scale
@@ -254,8 +230,8 @@ class TestBackward:
         for b in params.biases:
             b[:] = rng.normal(size=b.shape)  # keep pre-activations off the ReLU kink
         x, y = random_batch(rng, 8)
-        preds, cache = forward(params, x)
-        grads = backward(params, cache, preds - y)
+        preds, inputs = forward(params, x)
+        grads = backward(params, inputs, preds - y)
 
         eps = 1e-5
         arrays = [*params.weights, *params.biases]
@@ -268,45 +244,6 @@ class TestBackward:
                 up = loss_mse(forward(params, x)[0], y)
                 flat[i] = saved - eps
                 down = loss_mse(forward(params, x)[0], y)
-                flat[i] = saved
-                numeric = (up - down) / (2 * eps)
-                denom = max(abs(numeric), abs(gflat[i]), 1e-8)
-                assert abs(numeric - gflat[i]) / denom <= 1e-4
-
-    def test_gradient_check_with_dropout_masks(self):
-        # A fixed mask is part of the computation graph; reuse it in the
-        # finite-difference loss to check backward honors it. Only the first
-        # hidden layer carries one.
-        rng = np.random.default_rng(17)
-        params = init_params(13, (6, 4, 3, 1))
-        for b in params.biases:
-            b[:] = rng.normal(size=b.shape)  # keep pre-activations off the ReLU kink
-        x, y = random_batch(rng, 5, dim=6)
-        _, cache = forward(params, x, dropout_p=0.4, rng=np.random.default_rng(99))
-        first_mask = cache.drop_masks[0]
-        assert (first_mask == 0).any() and cache.drop_masks[1:] == [None]
-
-        def masked_preds():
-            z = x @ params.weights[0].T + params.biases[0]
-            h = np.where(z > 0, z, 0.0) * first_mask
-            z = h @ params.weights[1].T + params.biases[1]
-            h = np.where(z > 0, z, 0.0)
-            return (h @ params.weights[-1].T + params.biases[-1])[:, 0]
-
-        def loss_with_masks():
-            return loss_mse(masked_preds(), y)
-
-        grads = backward(params, cache, masked_preds() - y)
-
-        eps = 1e-5
-        for arr, grad in zip([*params.weights, *params.biases], [*grads.weights, *grads.biases]):
-            flat, gflat = arr.ravel(), grad.ravel()
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + eps
-                up = loss_with_masks()
-                flat[i] = saved - eps
-                down = loss_with_masks()
                 flat[i] = saved
                 numeric = (up - down) / (2 * eps)
                 denom = max(abs(numeric), abs(gflat[i]), 1e-8)
@@ -361,8 +298,7 @@ class TestFlatParams:
 
 
 class TestAdam:
-    @pytest.mark.parametrize("dropout_p", [0.0, 0.3], ids=["no-dropout", "dropout"])
-    def test_flat_update_matches_per_array_reference(self, dropout_p):
+    def test_flat_update_matches_per_array_reference(self):
         # 50 forward/backward/Adam steps on the flat buffers against the
         # per-array reference: parameters, moments and every step's
         # gradients bit-equal.
@@ -374,11 +310,11 @@ class TestAdam:
         ref_v = [np.zeros_like(a) for a in ref]
         for step in range(1, 51):
             x, y = random_batch(rng, 24)
-            preds, cache = forward(params, x, dropout_p=dropout_p, rng=np.random.default_rng(step))
-            ref_preds, ref_inputs, ref_masks = reference_forward(ref[:3], ref[3:], x, cache.drop_masks[0])
+            preds, inputs = forward(params, x)
+            ref_preds, ref_inputs, ref_masks = reference_forward(ref[:3], ref[3:], x)
             assert preds.tobytes() == ref_preds.tobytes()
-            grads = backward(params, cache, preds - y)
-            ref_grads = reference_backward(ref[:3], ref_inputs, ref_masks, cache.drop_masks, ref_preds - y)
+            grads = backward(params, inputs, preds - y)
+            ref_grads = reference_backward(ref[:3], ref_inputs, ref_masks, ref_preds - y)
             assert grads.flat.tobytes() == concat_bytes(ref_grads)
             adam_step(params, grads, state, 0.01)
             reference_adam_step(ref, ref_grads, ref_m, ref_v, step, 0.01)
@@ -386,7 +322,6 @@ class TestAdam:
         assert params.flat.tobytes() == concat_bytes(ref)
         assert state.m.tobytes() == concat_bytes(ref_m)
         assert state.v.tobytes() == concat_bytes(ref_v)
-        assert (dropout_p > 0) == (cache.drop_masks[0] is not None)
 
     def test_zero_gradient_is_noop(self):
         params = init_params(0, (4, 3, 1))
@@ -401,9 +336,7 @@ class TestAdam:
         # learning rate regardless of the gradient's magnitude.
         params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
         state = AdamState.zeros(params)
-        from dltsched.mlp import MlpGrads
-
-        grads = MlpGrads(weights=[np.array([[3.0]])], biases=[np.array([0.0])])
+        grads = MlpParams(weights=[np.array([[3.0]])], biases=[np.array([0.0])])
         lr = 0.01
         prev = params.weights[0][0, 0]
         step = None
@@ -424,7 +357,7 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets()
-        cfg = TrainConfig(max_epochs=4, patience=10, seed=5, batch_size=32, dropout_p=0.2)
+        cfg = TrainConfig(max_epochs=4, patience=10, seed=5, batch_size=32)
         m1, r1 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         m2, r2 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert r1.train_losses == r2.train_losses
@@ -443,8 +376,10 @@ class TestTrain:
 
     def test_returns_best_epoch_params(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=3)
-        cfg = TrainConfig(max_epochs=12, patience=3, seed=1, batch_size=32, dropout_p=0.5)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=12, patience=3, seed=1, batch_size=32)
         model, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        # The best epoch is not the last, so the weights must come from earlier.
+        assert report.best_epoch < report.epochs_run
         assert report.best_val_loss == min(report.val_losses)
         assert report.val_losses[report.best_epoch - 1] == report.best_val_loss
         preds, _ = forward(model.params, x_val)
@@ -452,7 +387,7 @@ class TestTrain:
 
     def test_patience_one_stops_at_first_rise(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=9, count=128)
-        cfg = TrainConfig(max_epochs=50, patience=1, seed=2, batch_size=16, dropout_p=0.6)
+        cfg = TrainConfig(max_epochs=50, patience=1, seed=2, batch_size=16)
         _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
         assert report.stopped_early
         # Every epoch before the stop improved; the stopping epoch did not.
