@@ -24,8 +24,7 @@ from .datagen import (
 )
 from .evaluation import (
     MetricReport,
-    ResidualReport,
-    StratifiedReport,
+    Stratum,
     compute_metrics,
     feature_importance,
     residual_analysis,

@@ -258,7 +258,29 @@ def _select_split(dataset: datagen.Dataset, split: str, split_seed: int) -> data
     return {"train": train_set, "val": val_set, "test": test_set}[split]
 
 
+def _read_train_report(path: str) -> mlp.TrainReport:
+    """The report ``train --report`` wrote, with one finite train and
+    validation loss per epoch run."""
+    try:
+        report = mlp.TrainReport(**json.loads(Path(path).read_text()))
+    except (ValueError, TypeError) as exc:
+        raise FileFormatError(f"{path}: not a train report: {exc}") from exc
+    for losses in (report.train_losses, report.val_losses):
+        if not (
+            isinstance(losses, list)
+            and len(losses) == report.epochs_run
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in losses)
+        ):
+            raise FileFormatError(
+                f"{path}: not a train report: losses must be two lists of {report.epochs_run!r} finite numbers"
+            )
+    return report
+
+
 def cmd_evaluate(args) -> int:
+    if args.train_report and not args.out:
+        raise InvalidInputError("--train-report feeds the loss-curve table and needs --out")
+    train_report = _read_train_report(args.train_report) if args.train_report else None
     model = mlp.load_model(args.model)
     header, dataset = datagen.load_dataset(args.data)
     if model.compute_intensity != header.compute_intensity:
@@ -296,12 +318,6 @@ def cmd_evaluate(args) -> int:
         print(f"RMSE  = {metrics.rmse:.3f} s")
         print(f"MAPE  = {metrics.mape:.3f} %")
     if args.out:
-        train_report = None
-        if args.train_report:
-            try:
-                train_report = mlp.TrainReport(**json.loads(Path(args.train_report).read_text()))
-            except (ValueError, TypeError) as exc:
-                raise FileFormatError(f"{args.train_report}: not a train report: {exc}") from exc
         files = evaluation.emit_plot_data(args.out, subset, predictions, train_report)
         _progress(f"wrote {len(files)} plot tables to {args.out}")
     return EXIT_OK

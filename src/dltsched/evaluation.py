@@ -1,9 +1,12 @@
 """Accuracy metrics, stratified error analysis, and plot-ready data tables.
 
-Metrics are computed in original units (seconds). Stratification slices a
+Metrics are computed in original units (seconds). ``stratify`` slices a
 prediction set by system size, load magnitude, or compute-speed
-heterogeneity to expose where the surrogate is trustworthy; the emitted
-delimited tables feed external plotting.
+heterogeneity into one ``Stratum`` row per bucket, to expose where the
+surrogate is trustworthy. ``residual_analysis`` returns the rows of the
+signed-error and signed percentage-error histograms and the
+residual-vs-prediction pairs. ``emit_plot_data`` writes those rows as the
+delimited tables that feed external plotting.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,43 +42,22 @@ class MetricReport:
     count: int
 
 
-@dataclass(frozen=True)
-class StratumReport:
-    label: str
+class Stratum(NamedTuple):
+    """One row of a stratum table; the field names are its columns.
+
+    Errors are in seconds and percentages of the exact makespan. An empty
+    bucket has count 0 and ``None`` for every statistic.
+    """
+
+    bucket: str
     count: int
-    metrics: MetricReport | None  # omitted for empty buckets
-    median_pct_error: float | None
-    p90_pct_error: float | None
-    max_pct_error: float | None
-
-
-@dataclass(frozen=True)
-class StratifiedReport:
-    scheme: str
-    buckets: tuple[StratumReport, ...]
-    total_count: int
-
-
-@dataclass(frozen=True)
-class DecileDispersion:
-    prediction_lo: float
-    prediction_hi: float
-    residual_std: float
-    count: int
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Signed-error summary; error = prediction - truth, so over-prediction
-    is positive."""
-
-    mean_error: float
-    share_within_50s: float
-    share_within_100s: float
-    share_pct_within_10: float
-    predictions: np.ndarray
-    residuals: np.ndarray
-    decile_dispersion: tuple[DecileDispersion, ...]
+    r2: float | None = None
+    mae_s: float | None = None
+    rmse_s: float | None = None
+    mape_pct: float | None = None
+    median_pct: float | None = None
+    p90_pct: float | None = None
+    max_pct: float | None = None
 
 
 def _check_pairs(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +94,6 @@ def compute_metrics(predictions, targets) -> MetricReport:
     return _metrics(predictions, targets, strict_r2=True)
 
 
-def _pct_errors(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return np.abs(predictions - targets) / targets * 100.0
-
-
 def _bin_index(values: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
     # Interior edges partition the whole real line, so every record lands in
     # exactly one bucket even slightly outside the nominal range.
@@ -127,23 +106,28 @@ def _bin_labels(edges: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def _bucket_report(label: str, predictions: np.ndarray, targets: np.ndarray) -> StratumReport:
+def _stratum(label: str, predictions: np.ndarray, targets: np.ndarray) -> Stratum:
     if targets.size == 0:
-        return StratumReport(label, 0, None, None, None, None)
-    pct = _pct_errors(predictions, targets)
-    return StratumReport(
-        label=label,
-        count=int(targets.size),
-        metrics=_metrics(predictions, targets, strict_r2=False),
-        median_pct_error=float(np.median(pct)),
-        p90_pct_error=float(np.percentile(pct, 90)),
-        max_pct_error=float(pct.max()),
+        return Stratum(label, 0)
+    m = _metrics(predictions, targets, strict_r2=False)
+    pct = np.abs(predictions - targets) / targets * 100.0
+    return Stratum(
+        label,
+        m.count,
+        m.r2,
+        m.mae,
+        m.rmse,
+        m.mape,
+        float(np.median(pct)),
+        float(np.percentile(pct, 90)),
+        float(pct.max()),
     )
 
 
-def stratify(dataset: Dataset, predictions, scheme: str) -> StratifiedReport:
-    """Slice predictions into buckets by n, load bin, or heterogeneity bin,
-    read from the dataset's feature columns."""
+def stratify(dataset: Dataset, predictions, scheme: str) -> list[Stratum]:
+    """One row per bucket of n, load bin, or heterogeneity bin, read from
+    the dataset's feature columns, in bucket order; every n between the
+    smallest and largest present gets a row."""
     if scheme not in STRATIFY_SCHEMES:
         raise InvalidInputError(f"unknown scheme {scheme!r}; expected one of {STRATIFY_SCHEMES}")
     predictions = np.asarray(predictions, dtype=float)
@@ -154,52 +138,32 @@ def stratify(dataset: Dataset, predictions, scheme: str) -> StratifiedReport:
     if scheme == "by-n":
         ns = dataset.column("n")
         groups = [(f"n={n}", np.flatnonzero(ns == n)) for n in range(int(ns.min()), int(ns.max()) + 1)]
-    elif scheme == "by-load":
-        idx = _bin_index(dataset.column("load_gb"), LOAD_BIN_EDGES)
-        groups = [
-            (label, np.flatnonzero(idx == i)) for i, label in enumerate(_bin_labels(LOAD_BIN_EDGES))
-        ]
     else:
-        idx = _bin_index(dataset.column("heterog_w"), HETEROG_BIN_EDGES)
-        groups = [
-            (label, np.flatnonzero(idx == i)) for i, label in enumerate(_bin_labels(HETEROG_BIN_EDGES))
-        ]
+        column, edges = ("load_gb", LOAD_BIN_EDGES) if scheme == "by-load" else ("heterog_w", HETEROG_BIN_EDGES)
+        idx = _bin_index(dataset.column(column), edges)
+        groups = [(label, np.flatnonzero(idx == i)) for i, label in enumerate(_bin_labels(edges))]
 
-    buckets = tuple(_bucket_report(label, predictions[sel], targets[sel]) for label, sel in groups)
-    return StratifiedReport(scheme=scheme, buckets=buckets, total_count=len(dataset))
+    return [_stratum(label, predictions[sel], targets[sel]) for label, sel in groups]
 
 
-def residual_analysis(predictions, targets) -> ResidualReport:
-    """Signed residuals, tolerance-window shares, and dispersion by
-    prediction decile (the heteroscedasticity summary)."""
+def _histogram_rows(values: np.ndarray) -> list[tuple]:
+    counts, edges = np.histogram(values, bins=_HIST_BINS)
+    return [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)]
+
+
+def residual_analysis(predictions, targets) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """Rows of the signed-error histogram (s), the signed percentage-error
+    histogram, and the residual-vs-prediction pairs.
+
+    A residual is prediction - truth, so over-prediction is positive. Each
+    histogram row is ``(bin_lo, bin_hi, count)`` over 40 equal bins.
+    """
     predictions, targets = _check_pairs(predictions, targets)
     residuals = predictions - targets
-    pct = _pct_errors(predictions, targets)
-
-    order = np.argsort(predictions, kind="stable")
-    sorted_preds = predictions[order]
-    sorted_resid = residuals[order]
-    deciles = []
-    splits = np.array_split(np.arange(predictions.size), min(10, predictions.size))
-    for chunk in splits:
-        if chunk.size == 0:
-            continue
-        deciles.append(
-            DecileDispersion(
-                prediction_lo=float(sorted_preds[chunk[0]]),
-                prediction_hi=float(sorted_preds[chunk[-1]]),
-                residual_std=float(np.std(sorted_resid[chunk])),
-                count=int(chunk.size),
-            )
-        )
-    return ResidualReport(
-        mean_error=float(residuals.mean()),
-        share_within_50s=float(np.mean(np.abs(residuals) <= 50.0)),
-        share_within_100s=float(np.mean(np.abs(residuals) <= 100.0)),
-        share_pct_within_10=float(np.mean(pct <= 10.0)),
-        predictions=predictions,
-        residuals=residuals,
-        decile_dispersion=tuple(deciles),
+    return (
+        _histogram_rows(residuals),
+        _histogram_rows(residuals / targets * 100.0),
+        list(zip(predictions.tolist(), residuals.tolist())),
     )
 
 
@@ -218,37 +182,12 @@ def feature_importance(model: MlpModel, features) -> list[tuple[str, float]]:
     return [(name, float(v)) for name, v in ranked]
 
 
-def _write_table(path: Path, columns: list[str], rows: list[tuple]) -> Path:
+def _write_table(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> Path:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def _stratum_rows(report: StratifiedReport) -> list[tuple]:
-    rows = []
-    for b in report.buckets:
-        if b.metrics is None:
-            rows.append((b.label, b.count, None, None, None, None, None, None, None))
-        else:
-            rows.append(
-                (
-                    b.label,
-                    b.count,
-                    b.metrics.r2,
-                    b.metrics.mae,
-                    b.metrics.rmse,
-                    b.metrics.mape,
-                    b.median_pct_error,
-                    b.p90_pct_error,
-                    b.max_pct_error,
-                )
-            )
-    return rows
-
-
-_STRATUM_COLUMNS = ["bucket", "count", "r2", "mae_s", "rmse_s", "mape_pct", "median_pct", "p90_pct", "max_pct"]
 
 
 def emit_plot_data(out_dir, dataset: Dataset, predictions, train_report=None) -> list[Path]:
@@ -263,48 +202,21 @@ def emit_plot_data(out_dir, dataset: Dataset, predictions, train_report=None) ->
     predictions, targets = _check_pairs(predictions, dataset.t_star)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
+    tables = []
     if train_report is not None:
         rows = [
             (epoch, tr, vl)
             for epoch, (tr, vl) in enumerate(zip(train_report.train_losses, train_report.val_losses), 1)
         ]
-        written.append(_write_table(out_dir / "loss_curves.csv", ["epoch", "train_loss", "val_loss"], rows))
-
-    written.append(
-        _write_table(
-            out_dir / "pred_vs_actual.csv",
-            ["actual_s", "predicted_s"],
-            list(zip(targets.tolist(), predictions.tolist())),
-        )
-    )
-    residual = residual_analysis(predictions, targets)
-    for name, unit, errors in (
-        ("error_hist.csv", "s", residual.residuals),
-        ("pct_error_hist.csv", "pct", residual.residuals / targets * 100.0),
-    ):
-        counts, edges = np.histogram(errors, bins=_HIST_BINS)
-        written.append(
-            _write_table(
-                out_dir / name,
-                [f"bin_lo_{unit}", f"bin_hi_{unit}", "count"],
-                [(float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)],
-            )
-        )
-    written.append(
-        _write_table(
-            out_dir / "residual_vs_predicted.csv",
-            ["predicted_s", "residual_s"],
-            list(zip(residual.predictions.tolist(), residual.residuals.tolist())),
-        )
-    )
-    for scheme, name in (
-        ("by-n", "per_n_errors.csv"),
-        ("by-load", "load_bin_errors.csv"),
-        ("by-heterogeneity", "heterog_bin_errors.csv"),
-    ):
-        report = stratify(dataset, predictions, scheme)
-        written.append(_write_table(out_dir / name, _STRATUM_COLUMNS, _stratum_rows(report)))
-
-    return written
+        tables.append(("loss_curves.csv", ("epoch", "train_loss", "val_loss"), rows))
+    error_hist, pct_error_hist, residual_pairs = residual_analysis(predictions, targets)
+    tables += [
+        ("pred_vs_actual.csv", ("actual_s", "predicted_s"), list(zip(targets.tolist(), predictions.tolist()))),
+        ("error_hist.csv", ("bin_lo_s", "bin_hi_s", "count"), error_hist),
+        ("pct_error_hist.csv", ("bin_lo_pct", "bin_hi_pct", "count"), pct_error_hist),
+        ("residual_vs_predicted.csv", ("predicted_s", "residual_s"), residual_pairs),
+        ("per_n_errors.csv", Stratum._fields, stratify(dataset, predictions, "by-n")),
+        ("load_bin_errors.csv", Stratum._fields, stratify(dataset, predictions, "by-load")),
+        ("heterog_bin_errors.csv", Stratum._fields, stratify(dataset, predictions, "by-heterogeneity")),
+    ]
+    return [_write_table(out_dir / name, columns, rows) for name, columns, rows in tables]

@@ -135,10 +135,6 @@ class TimingProfile:
     comm_finish: tuple[float, ...]
     compute_finish: tuple[float, ...]
 
-    @property
-    def makespan(self) -> float:
-        return max(self.compute_finish)
-
 
 def to_time_rates(config: SltnConfig, compute_intensity: float = DEFAULT_COMPUTE_INTENSITY) -> TimeRates:
     """Convert speeds and bandwidths into per-GB time costs.

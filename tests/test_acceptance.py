@@ -199,7 +199,7 @@ class TestLearningCriteria:
     def test_9_stratified_stability(self, desk_run):
         preds = mlp.predict_features(desk_run["model"], desk_run["test"].features)
         by_n = evaluation.stratify(desk_run["test"], preds, "by-n")
-        medians = [b.median_pct_error for b in by_n.buckets if b.count]
+        medians = [row.median_pct for row in by_n if row.count]
         spread = max(medians) - min(medians)
         ok = len(medians) == 18 and spread <= 10.0
         report_line(9, ok, f"stratified stability: per-n median pct in [{min(medians):.2f}, {max(medians):.2f}], spread {spread:.2f}")
@@ -209,9 +209,9 @@ class TestLearningCriteria:
     def test_10_load_error_direction(self, desk_run):
         preds = mlp.predict_features(desk_run["model"], desk_run["test"].features)
         by_load = evaluation.stratify(desk_run["test"], preds, "by-load")
-        buckets = {b.label: b for b in by_load.buckets}
-        small = buckets["[1,5)"].median_pct_error
-        large = buckets["[40,100]"].median_pct_error
+        buckets = {row.bucket: row for row in by_load}
+        small = buckets["[1,5)"].median_pct
+        large = buckets["[40,100]"].median_pct
         ok = large < small
         report_line(10, ok, f"load-error direction: median pct {large:.2f}% (>=40GB) < {small:.2f}% (<5GB)")
         assert ok

@@ -258,16 +258,40 @@ class TestEvaluateCommand:
         assert "per_n_errors.csv" in names
 
     @pytest.mark.parametrize(
-        "content",
-        ["not json\n", '{"epochs_run": 2}\n', None],
-        ids=["not-json", "missing-key", "extra-key"],
+        "edit",
+        [
+            lambda payload: "not json\n",
+            lambda payload: '{"epochs_run": 2}\n',
+            lambda payload: {**payload, "learning_rate": 0.001},
+            lambda payload: {**payload, "train_losses": 5},
+            lambda payload: {**payload, "train_losses": "abc"},
+            lambda payload: {**payload, "epochs_run": 1, "train_losses": [None], "val_losses": [None]},
+            lambda payload: {**payload, "epochs_run": 1, "train_losses": [{}], "val_losses": [{}]},
+            lambda payload: {**payload, "train_losses": [True] * payload["epochs_run"]},
+            lambda payload: {**payload, "train_losses": [math.nan] * payload["epochs_run"]},
+            lambda payload: {**payload, "train_losses": [10**400] * payload["epochs_run"]},
+            lambda payload: {**payload, "val_losses": payload["val_losses"][:-1]},
+            lambda payload: {**payload, "epochs_run": payload["epochs_run"] + 1},
+        ],
+        ids=[
+            "not-json",
+            "missing-key",
+            "extra-key",
+            "losses-number",
+            "losses-string",
+            "loss-null",
+            "loss-object",
+            "loss-bool",
+            "loss-nan",
+            "loss-huge-int",
+            "unequal-lengths",
+            "epochs-mismatch",
+        ],
     )
-    def test_malformed_train_report_is_data_error(self, capsys, tmp_path, tiny_pipeline, content):
-        if content is None:
-            payload = json.loads(tiny_pipeline["report"].read_text())
-            content = json.dumps({**payload, "learning_rate": 0.001})
+    def test_malformed_train_report_is_data_error(self, capsys, tmp_path, tiny_pipeline, edit):
+        content = edit(json.loads(tiny_pipeline["report"].read_text()))
         bad = tmp_path / "report.json"
-        bad.write_text(content)
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
         code, _, err = run(
             capsys,
             "evaluate",
@@ -278,6 +302,19 @@ class TestEvaluateCommand:
         )
         assert code == 3
         assert err.splitlines()[-1].startswith("error: ") and "not a train report" in err
+        assert not (tmp_path / "plots").exists()
+
+    def test_train_report_without_out_is_usage_error(self, capsys, tmp_path, tiny_pipeline):
+        for report in (tiny_pipeline["report"], tmp_path / "missing.json"):
+            code, _, err = run(
+                capsys,
+                "evaluate",
+                "--model", str(tiny_pipeline["model"]),
+                "--data", str(tiny_pipeline["data"]),
+                "--train-report", str(report),
+            )
+            assert code == 2
+            assert err.splitlines()[-1].startswith("error: ") and "needs --out" in err
 
     @pytest.mark.parametrize("drop", [False, True], ids=["null", "absent"])
     def test_bundle_without_split_seed_needs_flag(self, capsys, tmp_path, tiny_pipeline, drop):

@@ -9,6 +9,8 @@ from dltsched.errors import InvalidInputError
 from dltsched.evaluation import (
     HETEROG_BIN_EDGES,
     LOAD_BIN_EDGES,
+    MetricReport,
+    Stratum,
     compute_metrics,
     emit_plot_data,
     feature_importance,
@@ -62,53 +64,56 @@ class TestComputeMetrics:
         assert m.r2 <= 1.0
 
 
+def row_metrics(row: Stratum) -> MetricReport:
+    return MetricReport(r2=row.r2, mae=row.mae_s, rmse=row.rmse_s, mape=row.mape_pct, count=row.count)
+
+
 class TestStratify:
     def test_by_n_buckets_cover_range(self):
         ns = [n for n in range(3, 21) for _ in range(4)]
         dataset = dataset_of([config_for(n=n) for n in ns], [50.0 + n for n in ns])
-        report = stratify(dataset, dataset.t_star * 1.1, "by-n")
-        assert len(report.buckets) == 18
-        assert [b.label for b in report.buckets] == [f"n={n}" for n in range(3, 21)]
-        assert all(b.count == 4 for b in report.buckets)
-        assert sum(b.count for b in report.buckets) == report.total_count
+        rows = stratify(dataset, dataset.t_star * 1.1, "by-n")
+        assert len(rows) == 18
+        assert [r.bucket for r in rows] == [f"n={n}" for n in range(3, 21)]
+        assert all(r.count == 4 for r in rows)
+        assert sum(r.count for r in rows) == len(dataset)
 
     def test_gap_n_reported_empty(self):
         dataset = dataset_of([config_for(n=3), config_for(n=3), config_for(n=5)], [100.0] * 3)
-        report = stratify(dataset, [100.0, 90.0, 110.0], "by-n")
-        labels = {b.label: b for b in report.buckets}
-        assert labels["n=4"].count == 0
-        assert labels["n=4"].metrics is None
+        rows = {r.bucket: r for r in stratify(dataset, [100.0, 90.0, 110.0], "by-n")}
+        assert rows["n=4"].count == 0
+        assert rows["n=4"][2:] == (None,) * 7
 
     def test_load_bins(self):
         loads = [2.0, 7.0, 15.0, 30.0, 70.0, 100.0]
         dataset = dataset_of([config_for(load=l) for l in loads], [l * 10 for l in loads])
-        report = stratify(dataset, [l * 10 for l in loads], "by-load")
-        assert [b.label for b in report.buckets] == ["[1,5)", "[5,10)", "[10,20)", "[20,40)", "[40,100]"]
-        assert [b.count for b in report.buckets] == [1, 1, 1, 1, 2]
+        rows = stratify(dataset, [l * 10 for l in loads], "by-load")
+        assert [r.bucket for r in rows] == ["[1,5)", "[5,10)", "[10,20)", "[20,40)", "[40,100]"]
+        assert [r.count for r in rows] == [1, 1, 1, 1, 2]
 
     def test_heterogeneity_bins(self):
         spreads = [(4.0, 4.0), (4.0, 10.0), (2.0, 14.0), (1.0, 14.0)]
         dataset = dataset_of([config_for(n=2, speeds=s) for s in spreads], [100.0] * 4)
-        report = stratify(dataset, [100.0] * 4, "by-heterogeneity")
-        assert [b.label for b in report.buckets] == ["[1,2)", "[2,5)", "[5,10)", "[10,15]"]
-        assert [b.count for b in report.buckets] == [1, 1, 1, 1]
+        rows = stratify(dataset, [100.0] * 4, "by-heterogeneity")
+        assert [r.bucket for r in rows] == ["[1,2)", "[2,5)", "[5,10)", "[10,15]"]
+        assert [r.count for r in rows] == [1, 1, 1, 1]
 
     def test_single_bucket_matches_global_metrics(self):
         rng = np.random.default_rng(1)
         dataset = dataset_of([config_for(n=7)] * 40, rng.uniform(50, 500, 40))
         preds = dataset.t_star * rng.uniform(0.9, 1.1, 40)
-        report = stratify(dataset, preds, "by-n")
+        rows = stratify(dataset, preds, "by-n")
         whole = compute_metrics(preds, dataset.t_star)
-        assert len(report.buckets) == 1
-        assert report.buckets[0].metrics == whole
+        assert len(rows) == 1
+        assert row_metrics(rows[0]) == whole
 
     def test_bucket_maes_recombine_to_global(self):
         rng = np.random.default_rng(2)
         ns, targets = rng.integers(3, 21, 60), rng.uniform(50, 500, 60)
         dataset = dataset_of([config_for(n=int(n)) for n in ns], targets)
         preds = targets + rng.normal(0, 20, 60)
-        report = stratify(dataset, preds, "by-n")
-        weighted = sum(b.count * b.metrics.mae for b in report.buckets if b.count) / report.total_count
+        rows = stratify(dataset, preds, "by-n")
+        weighted = sum(r.count * r.mae_s for r in rows if r.count) / len(dataset)
         assert weighted == pytest.approx(compute_metrics(preds, targets).mae)
 
     def test_empty_or_misaligned_predictions_rejected(self):
@@ -141,44 +146,24 @@ class TestStratifyColumns:
             value = key(config)
             groups.setdefault(value if edges is None else sum(value >= e for e in edges[1:-1]), []).append(i)
         positions = range(min(groups), max(groups) + 1) if edges is None else range(len(edges) - 1)
-        report = stratify(dataset, preds, scheme)
-        assert [b.count for b in report.buckets] == [len(groups.get(k, [])) for k in positions]
-        for bucket, k in zip(report.buckets, positions):
+        rows = stratify(dataset, preds, scheme)
+        assert [r.count for r in rows] == [len(groups.get(k, [])) for k in positions]
+        for row, k in zip(rows, positions):
             if k in groups:
-                assert bucket.metrics == compute_metrics(preds[groups[k]], dataset.t_star[groups[k]])
+                assert row_metrics(row) == compute_metrics(preds[groups[k]], dataset.t_star[groups[k]])
 
 
 class TestResidualAnalysis:
-    def test_perfect_predictions(self):
-        targets = [100.0, 200.0, 300.0]
-        r = residual_analysis(targets, targets)
-        assert r.mean_error == 0.0
-        assert r.share_within_50s == 1.0
-        assert r.share_within_100s == 1.0
-        assert r.share_pct_within_10 == 1.0
-
-    def test_window_shares(self):
-        targets = np.array([1000.0, 1000.0])
-        preds = targets + np.array([-60.0, 60.0])
-        r = residual_analysis(preds, targets)
-        assert r.share_within_50s == 0.0
-        assert r.share_within_100s == 1.0
-
-    def test_share_monotonicity(self):
-        rng = np.random.default_rng(3)
-        targets = rng.uniform(100, 2000, 500)
-        preds = targets + rng.normal(0, 80, 500)
-        r = residual_analysis(preds, targets)
-        assert r.share_within_50s <= r.share_within_100s
-
-    def test_decile_dispersion_counts(self):
+    def test_residuals_are_prediction_minus_truth(self):
+        error_hist, pct_error_hist, pairs = residual_analysis([110.0, 90.0], [100.0, 100.0])
+        assert pairs == [(110.0, 10.0), (90.0, -10.0)]
+        assert (error_hist[0][0], error_hist[-1][1]) == (-10.0, 10.0)
+        assert (pct_error_hist[0][0], pct_error_hist[-1][1]) == (-10.0, 10.0)
         rng = np.random.default_rng(4)
         targets = rng.uniform(100, 2000, 95)
         preds = targets + rng.normal(0, 10, 95)
-        r = residual_analysis(preds, targets)
-        assert sum(d.count for d in r.decile_dispersion) == 95
-        los = [d.prediction_lo for d in r.decile_dispersion]
-        assert los == sorted(los)
+        for hist in residual_analysis(preds, targets)[:2]:
+            assert sum(count for _, _, count in hist) == 95
 
 
 class TestFeatureImportance:
@@ -268,6 +253,16 @@ class TestEmitPlotData:
         for name in ("error_hist.csv", "pct_error_hist.csv"):
             rows = (tmp_path / name).read_text().splitlines()[1:]
             assert sum(int(r.split(",")[2]) for r in rows) == len(dataset)
+
+    def test_stratum_table_bytes(self, tmp_path):
+        configs = [config_for(n=3), config_for(n=3), config_for(n=5)]
+        emit_plot_data(tmp_path, dataset_of(configs, [100.0, 200.0, 300.0]), [110.0, 190.0, 330.0])
+        assert (tmp_path / "per_n_errors.csv").read_text() == (
+            "bucket,count,r2,mae_s,rmse_s,mape_pct,median_pct,p90_pct,max_pct\n"
+            "n=3,2,0.96,10.0,10.0,7.500000000000001,7.5,9.5,10.0\n"
+            "n=4,0,,,,,,,\n"
+            "n=5,1,nan,30.0,30.0,10.0,10.0,10.0,10.0\n"
+        )
 
     def test_rerun_is_byte_identical(self, tmp_path):
         dataset, preds, report = self.sample_inputs()
