@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import datagen, evaluation, mlp, solver
 from .errors import (
@@ -53,10 +54,11 @@ def hybrid_predict(
 
     Above the threshold the surrogate's uncertainty is large enough that
     recomputing exactly is worth the cost, so the exact makespan is
-    returned instead.
+    returned instead. A NaN estimate (a system whose features overflow the
+    network) is verified too.
     """
     ml_estimate = mlp.predict(model, config)
-    if ml_estimate > threshold:
+    if not ml_estimate <= threshold:
         alloc = solver.solve_optimal(solver.to_time_rates(config, model.compute_intensity), config.load_gb)
         return HybridDecision(
             t_star=alloc.t_star, source="dlt-verified", ml_estimate=ml_estimate, threshold=threshold
@@ -242,7 +244,7 @@ def cmd_train(args) -> int:
     )
     mlp.save_model(args.out, model)
     if args.report:
-        Path(args.report).write_text(json.dumps(asdict(report), separators=(",", ":")) + "\n")
+        Path(args.report).write_bytes(orjson.dumps(asdict(report)) + b"\n")
     stop = "early stopping" if report.stopped_early else "epoch cap"
     print(
         f"trained {report.epochs_run} epochs ({stop}); best epoch {report.best_epoch} "
@@ -262,7 +264,7 @@ def _read_train_report(path: str) -> mlp.TrainReport:
     """The report ``train --report`` wrote, with one finite train and
     validation loss per epoch run."""
     try:
-        report = mlp.TrainReport(**json.loads(Path(path).read_text()))
+        report = mlp.TrainReport(**orjson.loads(Path(path).read_bytes()))
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: not a train report: {exc}") from exc
     for losses in (report.train_losses, report.val_losses):
@@ -370,7 +372,8 @@ def cmd_hybrid(args) -> int:
                 {
                     "t_star_s": decision.t_star,
                     "source": decision.source,
-                    "ml_estimate_s": decision.ml_estimate,
+                    # A NaN estimate, verified above, prints as null: NaN is not JSON.
+                    "ml_estimate_s": decision.ml_estimate if math.isfinite(decision.ml_estimate) else None,
                     "threshold_s": decision.threshold,
                 },
                 separators=(",", ":"),

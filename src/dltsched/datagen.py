@@ -10,7 +10,6 @@ so labels can always be replayed against the exact solver.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, StratificationError
 from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_time_rates
@@ -29,6 +29,8 @@ STD_CONVENTION = "population"  # divisor n in every std feature
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
 _MIN_STRATUM = 10
+_SEED_LIMIT = 2**64  # every seed is a JSON integer below this, which the file writers can encode
+_NUMBER_TYPES = frozenset((int, float))  # what a JSON number parses to; bool and str are not numbers
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,12 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Raise :class:`InvalidInputError` unless ``seed`` lies in [0, 2**64)."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise InvalidInputError(f"{what} must be in [0, 2**64), got {seed}")
+
+
 def record_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-record generator; counter-based so parallel and serial
     generation produce identical datasets."""
@@ -243,8 +251,7 @@ def generate_dataset(
     """
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     configs = []
     features = np.empty((count, N_FEATURES))
     t_star = np.empty(count)
@@ -263,8 +270,7 @@ def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Datase
     shuffled from dataset order by one permutation drawn from ``seed``."""
     if not len(dataset):
         raise InvalidInputError("cannot split an empty dataset")
-    if seed < 0:
-        raise InvalidInputError(f"split seed must be non-negative, got {seed}")
+    check_seed(seed, "split seed")
     ns = dataset.column("n")
     rng = np.random.default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])
@@ -327,54 +333,95 @@ def _config_to_json(config: SltnConfig) -> dict:
     }
 
 
-def _config_from_json(obj: dict) -> SltnConfig:
-    return SltnConfig(
-        n=int(obj["n"]),
-        root_speed=float(obj["root_speed"]),
-        child_speeds=tuple(map(float, obj["child_speeds"])),
-        link_bandwidths=tuple(map(float, obj["link_bandwidths"])),
-        load_gb=float(obj["load_gb"]),
+def _record_from_json(obj: dict) -> tuple[SltnConfig, list, float]:
+    """The configuration, feature row and label of one parsed record. Every
+    value must be a JSON number and ``n`` a JSON integer; ``float`` alone
+    would also take numeric strings and booleans."""
+    config, row, t_star = obj["config"], obj["features"], obj["t_star"]
+    n, speeds, bws = config["n"], config["child_speeds"], config["link_bandwidths"]
+    root_speed, load_gb = config["root_speed"], config["load_gb"]
+    values = (root_speed, load_gb, t_star, *speeds, *bws, *row)
+    if type(n) is not int or not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ValueError("every value must be a JSON number and n a JSON integer")
+    if len(row) != N_FEATURES:
+        raise ValueError(f"expected {N_FEATURES} features, got {len(row)}")
+    return (
+        SltnConfig(
+            n=n,
+            root_speed=float(root_speed),
+            child_speeds=tuple(map(float, speeds)),
+            link_bandwidths=tuple(map(float, bws)),
+            load_gb=float(load_gb),
+        ),
+        row,
+        float(t_star),
     )
 
 
 def save_dataset(path, dataset: Dataset, header: DatasetHeader) -> None:
-    """Write header plus one JSON record per line. Identical inputs produce
-    byte-identical files."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = [
-        encode(
-            {
-                "format": DATASET_FORMAT,
-                "version": FORMAT_VERSION,
-                "seed": header.seed,
-                "count": len(dataset),
-                "ranges": {
-                    "n": list(header.ranges.n_range),
-                    "load_gb": list(header.ranges.load_range),
-                    "speed": list(header.ranges.speed_range),
-                    "bandwidth": list(header.ranges.bandwidth_range),
+    """Write header plus one compact JSON record per line. Identical inputs
+    produce byte-identical files.
+
+    Floats are written in their shortest round-trip form. Inside [1e-4, 1e15)
+    the spelling equals Python's ``repr``; outside it, ``0.00001`` and
+    ``1e16`` stand for ``1e-05`` and ``1e+16``. A seed outside [0, 2**64), a
+    compute intensity that is not positive and finite, a non-finite feature
+    or label, or a value JSON cannot encode raises
+    :class:`InvalidInputError` before any byte is written.
+    """
+    check_seed(header.seed, "header seed")
+    if not 0 < header.compute_intensity < math.inf:
+        raise InvalidInputError(f"compute_intensity must be positive and finite, got {header.compute_intensity!r}")
+    if not (np.isfinite(dataset.features).all() and np.isfinite(dataset.t_star).all()):
+        raise InvalidInputError("every feature and t_star must be finite")
+    option = orjson.OPT_SERIALIZE_NUMPY  # a numpy float in a header or config is written as a float
+    try:
+        lines = [
+            orjson.dumps(
+                {
+                    "format": DATASET_FORMAT,
+                    "version": FORMAT_VERSION,
+                    "seed": header.seed,
+                    "count": len(dataset),
+                    "ranges": {
+                        "n": list(header.ranges.n_range),
+                        "load_gb": list(header.ranges.load_range),
+                        "speed": list(header.ranges.speed_range),
+                        "bandwidth": list(header.ranges.bandwidth_range),
+                    },
+                    "compute_intensity": header.compute_intensity,
+                    "std_convention": STD_CONVENTION,
                 },
-                "compute_intensity": header.compute_intensity,
-                "std_convention": STD_CONVENTION,
-            }
-        )
-    ]
-    for config, row, t_star in zip(dataset.configs, dataset.features.tolist(), dataset.t_star.tolist()):
-        lines.append(encode({"config": _config_to_json(config), "features": row, "t_star": t_star}))
-    Path(path).write_text("\n".join(lines) + "\n")
+                option=option,
+            )
+        ]
+        for config, row, t_star in zip(dataset.configs, dataset.features.tolist(), dataset.t_star.tolist()):
+            record = {"config": _config_to_json(config), "features": row, "t_star": t_star}
+            lines.append(orjson.dumps(record, option=option))
+    except TypeError as exc:
+        raise InvalidInputError(f"cannot encode the dataset as JSON: {exc}") from exc
+    Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 
 def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
+    """Read a file written by :func:`save_dataset`.
+
+    Raises :class:`FileFormatError`, naming the line, for anything but
+    strict JSON (``NaN`` and ``Infinity`` are parse errors), a header whose
+    ``seed`` and ``count`` are not JSON integers, a record value that is not
+    a JSON number (a quoted number or a boolean is not), a compute intensity
+    or ``t_star`` that is not positive and finite, a non-finite feature, and
+    a record count other than the header's.
+    """
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_bytes().splitlines()
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    lines = text.splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty dataset file")
     try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        head = orjson.loads(lines[0])
+    except orjson.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(head, dict):
         raise FileFormatError(f"{path}: malformed header: not a JSON object")
@@ -389,12 +436,11 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
             speed_range=tuple(float(v) for v in head["ranges"]["speed"]),
             bandwidth_range=tuple(float(v) for v in head["ranges"]["bandwidth"]),
         )
-        header = DatasetHeader(
-            seed=int(head["seed"]),
-            ranges=ranges,
-            compute_intensity=float(head["compute_intensity"]),
-        )
-        count = int(head["count"])
+        seed, count = head["seed"], head["count"]
+        if type(seed) is not int or type(count) is not int:
+            raise ValueError(f"seed and count must be JSON integers, got {seed!r} and {count!r}")
+        check_seed(seed)
+        header = DatasetHeader(seed=seed, ranges=ranges, compute_intensity=float(head["compute_intensity"]))
         std_convention = head["std_convention"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
@@ -409,13 +455,8 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            config = _config_from_json(obj["config"])
-            row = tuple(map(float, obj["features"]))
-            t_star = float(obj["t_star"])
-            if len(row) != N_FEATURES:
-                raise ValueError(f"expected {N_FEATURES} features, got {len(row)}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            config, row, t_star = _record_from_json(orjson.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
         if not 0 < t_star < math.inf:
             raise FileFormatError(f"{path}:{lineno}: t_star must be positive and finite, got {t_star!r}")

@@ -16,7 +16,6 @@ state.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
@@ -24,8 +23,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
-from .datagen import FEATURE_NAMES, NormalizationStats, apply_normalization, denormalize_target, extract_features
+from .datagen import (
+    FEATURE_NAMES,
+    NormalizationStats,
+    apply_normalization,
+    check_seed,
+    denormalize_target,
+    extract_features,
+)
 from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, TrainingDivergedError
 from .solver import SltnConfig
 
@@ -112,8 +119,7 @@ class TrainConfig:
             raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise InvalidInputError(f"max epochs must be >= 1, got {self.max_epochs}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -388,16 +394,36 @@ def predict(model: MlpModel, config: SltnConfig) -> float:
     return float(predict_features(model, extract_features(config).as_array())[0])
 
 
+def _has_non_finite(value) -> bool:
+    """Whether a float anywhere in ``value`` (nested dicts and lists) is NaN or infinite."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(map(_has_non_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_non_finite, value))
+    return False
+
+
 def save_model(path, model: MlpModel) -> None:
     """Serialize the bundle as versioned JSON; round-trips bit-exactly.
 
     Only float32 weights are bundled: every float32 value is written as the
-    float64 number it equals, so loading rounds nothing.
+    float64 number it equals, in its shortest round-trip form, so loading
+    rounds nothing. Inside [1e-4, 1e15) that spelling equals Python's
+    ``repr``; outside it, ``0.00001`` and ``1e16`` stand for ``1e-05`` and
+    ``1e+16``. A non-finite weight, bias or metadata number, or metadata JSON
+    cannot encode, raises :class:`InvalidInputError` before any byte is
+    written.
     """
     if model.params.layer_dims != DEFAULT_LAYER_DIMS:
         raise InvalidInputError(f"can only bundle the production architecture {DEFAULT_LAYER_DIMS}")
     if model.params.flat.dtype != np.float32:
         raise InvalidInputError(f"can only bundle float32 weights, got {model.params.flat.dtype}")
+    if not np.isfinite(model.params.flat).all():
+        raise InvalidInputError("can only bundle finite weights and biases")
+    if _has_non_finite(model.metadata):
+        raise InvalidInputError(f"model metadata holds a non-finite number: {model.metadata!r}")
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -412,7 +438,11 @@ def save_model(path, model: MlpModel) -> None:
         },
         "metadata": model.metadata,
     }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    try:
+        data = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)  # a numpy float in metadata is a float
+    except TypeError as exc:
+        raise InvalidInputError(f"cannot encode the model bundle as JSON: {exc}") from exc
+    Path(path).write_bytes(data + b"\n")
 
 
 def load_model(path) -> MlpModel:
@@ -422,8 +452,8 @@ def load_model(path) -> MlpModel:
     :class:`FileFormatError`.
     """
     try:
-        obj = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
+        obj = orjson.loads(Path(path).read_bytes())
+    except (orjson.JSONDecodeError, OSError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise FileFormatError(f"{path}: not a model bundle")

@@ -199,8 +199,8 @@ class TestTrainCommand:
         [
             (0, "compute_intensity", -1.0, "compute_intensity"),
             (3, "t_star", -3.0, "t_star"),
-            (3, "t_star", float("nan"), "t_star"),
-            (3, "features", [float("nan")] + [1.0] * 15, "non-finite feature"),
+            (3, "t_star", float("nan"), ":4: malformed record"),
+            (3, "features", [float("nan")] + [1.0] * 15, ":4: malformed record"),
             (0, "std_convention", "sample", "std_convention"),
         ],
         ids=["negative-intensity", "negative-t-star", "nan-t-star", "nan-feature", "sample-std"],
@@ -371,14 +371,14 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "where, value, message",
         [
-            (("weights", 1, 0, 3), float("nan"), "non-finite"),
-            (("biases", 3, 0), float("inf"), "non-finite"),
-            (("norm", "feature_stds", 2), float("nan"), "standard deviation"),
-            (("norm", "target_std"), float("nan"), "standard deviation"),
-            (("norm", "feature_means", 0), float("nan"), "mean"),
+            (("weights", 1, 0, 3), float("nan"), "unexpected character"),
+            (("biases", 3, 0), float("inf"), "unexpected character"),
+            (("norm", "feature_stds", 2), float("nan"), "unexpected character"),
+            (("norm", "target_std"), float("nan"), "unexpected character"),
+            (("norm", "feature_means", 0), float("nan"), "unexpected character"),
             (("metadata", "compute_intensity"), "abc", "compute_intensity"),
             (("metadata", "compute_intensity"), -5, "compute_intensity"),
-            (("metadata", "compute_intensity"), float("inf"), "compute_intensity"),
+            (("metadata", "compute_intensity"), float("inf"), "unexpected character"),
             (("metadata", "compute_intensity"), True, "compute_intensity"),
             (("biases", 0), [[0.0]] * 128, "bias shapes"),
             (("weights", 0, 5, 2), 1e39, "float32"),
@@ -542,6 +542,19 @@ class TestHybrid:
         exact = solver.solve_optimal(solver.to_time_rates(self.config(), 100.0), 20.0)
         assert payload["t_star_s"] == pytest.approx(exact.t_star, rel=1e-12)
 
+    def test_nan_estimate_is_verified(self, capsys, tiny_pipeline):
+        # A 1e300 GB load overflows the network's float32 input, so its
+        # estimate is NaN, while the exact makespan is still finite.
+        system = ["--root-speed", "10", "--load-gb", "1e300", "--child", "5:100", "--child", "8:25"]
+        code, out, _ = run(capsys, "hybrid", "--model", str(tiny_pipeline["model"]), *system, "--format", "machine")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["source"], payload["ml_estimate_s"]) == ("dlt-verified", None)
+        config = solver.SltnConfig(
+            n=2, root_speed=10.0, child_speeds=(5.0, 8.0), link_bandwidths=(100.0, 25.0), load_gb=1e300
+        )
+        assert payload["t_star_s"] == solver.solve_optimal(solver.to_time_rates(config, 100.0), 1e300).t_star
+
 
 _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
 
@@ -550,9 +563,12 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
     "argv",
     [
         ["generate", "--count", "5", "--seed", "-1", "--out", "{out}"],
+        ["generate", "--count", "5", "--seed", str(2**70), "--out", "{out}"],
         ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--load-range", "1", "inf"],
         ["train", "--data", "{data}", "--out", "{out}", "--seed", "-1", "--split-seed", "1"],
         ["train", "--data", "{data}", "--out", "{out}", "--split-seed", "-3"],
+        ["train", "--data", "{data}", "--out", "{out}", "--seed", str(2**64), "--split-seed", "1"],
+        ["train", "--data", "{data}", "--out", "{out}", "--split-seed", str(2**64)],
         ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "nan"],
         ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "inf"],
         ["evaluate", "--model", "{model}", "--data", "{data}", "--split-seed", "-2"],
@@ -564,9 +580,12 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
     ],
     ids=[
         "generate-negative-seed",
+        "generate-seed-beyond-64-bits",
         "generate-infinite-load-range",
         "train-negative-seed",
         "train-negative-split-seed",
+        "train-seed-beyond-64-bits",
+        "train-split-seed-beyond-64-bits",
         "train-nan-learning-rate",
         "train-infinite-learning-rate",
         "evaluate-negative-split-seed",

@@ -132,6 +132,14 @@ class TestGenerateDataset:
             replay = oracle_solve(to_time_rates(config, 100.0), config.load_gb)
             assert replay.t_star == pytest.approx(t_star, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70], ids=["negative", "2**64", "2**70"])
+    def test_seed_must_fit_64_bits(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            generate_dataset(5, seed=seed)
+        with pytest.raises(InvalidInputError, match="split seed"):
+            split_dataset(generate_dataset(5, seed=1), seed)
+        generate_dataset(1, seed=2**64 - 1)
+
     def test_feature_consistency(self):
         dataset = generate_dataset(20, seed=4)
         for config, row in zip(dataset.configs, dataset.features.tolist()):
@@ -325,6 +333,109 @@ class TestDatasetFiles:
         save_dataset(p2, generate_dataset(25, seed=11), self.header(seed=11))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("intensity", [100.0, 10_000.0])
+    def test_lines_are_compact_standard_json(self, tmp_path, intensity):
+        dataset = generate_dataset(200, seed=5, compute_intensity=intensity)
+        header = DatasetHeader(seed=5, ranges=SamplerRanges(), compute_intensity=intensity)
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, dataset, header)
+        head = {
+            "format": datagen.DATASET_FORMAT,
+            "version": datagen.FORMAT_VERSION,
+            "seed": 5,
+            "count": 200,
+            "ranges": {"n": [3, 20], "load_gb": [1.0, 100.0], "speed": [1.0, 15.0], "bandwidth": [10.0, 150.0]},
+            "compute_intensity": intensity,
+            "std_convention": "population",
+        }
+        records = [
+            {
+                "config": {
+                    "n": c.n,
+                    "root_speed": c.root_speed,
+                    "child_speeds": list(c.child_speeds),
+                    "link_bandwidths": list(c.link_bandwidths),
+                    "load_gb": c.load_gb,
+                },
+                "features": dataset.features[i].tolist(),
+                "t_star": dataset.t_star[i].item(),
+            }
+            for i, c in enumerate(dataset.configs)
+        ]
+        expected = "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in (head, *records))
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda features, t_star: t_star.__setitem__(1, np.nan),
+            lambda features, t_star: features.__setitem__((0, 3), np.inf),
+        ],
+        ids=["nan-t-star", "infinite-feature"],
+    )
+    def test_refuses_non_finite_values(self, tmp_path, edit):
+        dataset = generate_dataset(3, seed=4)
+        features, t_star = dataset.features.copy(), dataset.t_star.copy()
+        edit(features, t_star)
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(InvalidInputError, match="finite"):
+            save_dataset(path, Dataset(dataset.configs, features, t_star), self.header())
+        assert not path.exists()
+
+    def test_numpy_floats_are_written_as_floats(self, tmp_path):
+        dataset = generate_dataset(3, seed=4)
+        as_numpy = [
+            SltnConfig(c.n, np.float64(c.root_speed), tuple(np.array(c.child_speeds)), c.link_bandwidths, c.load_gb)
+            for c in dataset.configs
+        ]
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_dataset(p1, dataset, self.header())
+        save_dataset(
+            p2,
+            Dataset(tuple(as_numpy), dataset.features, dataset.t_star),
+            DatasetHeader(seed=7, ranges=SamplerRanges(), compute_intensity=np.float64(100.0)),
+        )
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_round_trip_outside_repr_spelling_range(self, tmp_path):
+        # Below 1e-4 and from 1e15 on, the file spells floats differently
+        # from Python's repr (0.00001 for 1e-05, 1e16 for 1e+16).
+        configs = [
+            make_config(3, [1e-5, 2.0, 3.5e-7], [10.0, 1e16, 20.0], root=1e-5, load=1e16),
+            make_config(3, [1.0, 2.0, 3.0], [10.0, 20.0, 30.0]),
+        ]
+        dataset = dataset_of(configs, [1e-5, 2.5e17])
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, dataset, DatasetHeader(seed=0, ranges=SamplerRanges(), compute_intensity=1e-5))
+        assert b"0.00001" in path.read_bytes() and b"1e16" in path.read_bytes()
+        header, loaded = load_dataset(path)
+        assert loaded.configs == dataset.configs
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert loaded.t_star.tobytes() == dataset.t_star.tobytes()
+        assert header.compute_intensity == 1e-5
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"count": 30.9, "seed": 2.7},
+            {"seed": 7.0},
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"count": "10"},
+        ],
+        ids=["fractions", "float-seed", "text-seed", "boolean-seed", "negative-seed", "seed-2**64", "text-count"],
+    )
+    def test_header_seed_and_count_are_integers(self, tmp_path, fields):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, generate_dataset(10, seed=2), self.header(seed=2))
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="malformed header"):
+            load_dataset(path)
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"format":"something-else","version":1}\n')
@@ -364,10 +475,26 @@ class TestDatasetFiles:
         "edit, message",
         [
             (lambda record: record.update(t_star=-2.0), "t_star must be positive"),
-            (lambda record: record.update(t_star=float("inf")), "t_star must be positive"),
-            (lambda record: record["features"].__setitem__(5, float("nan")), "non-finite feature"),
+            (lambda record: record.update(t_star=float("inf")), "malformed record"),
+            (lambda record: record["features"].__setitem__(5, float("nan")), "malformed record"),
+            (lambda record: record["features"].__setitem__(5, "5.1"), "malformed record"),
+            (lambda record: record.update(t_star="123.4"), "malformed record"),
+            (lambda record: record["config"].update(load_gb="50.0"), "malformed record"),
+            (lambda record: record["config"]["child_speeds"].__setitem__(0, "3.0"), "malformed record"),
+            (lambda record: record["features"].__setitem__(0, True), "malformed record"),
+            (lambda record: record["config"].update(n=float(record["config"]["n"])), "malformed record"),
         ],
-        ids=["negative-t-star", "infinite-t-star", "nan-feature"],
+        ids=[
+            "negative-t-star",
+            "infinite-t-star",
+            "nan-feature",
+            "text-feature",
+            "text-t-star",
+            "text-load",
+            "text-child-speed",
+            "boolean-feature",
+            "float-n",
+        ],
     )
     def test_names_the_bad_line(self, tmp_path, edit, message):
         with pytest.raises(FileFormatError, match=f":4: {message}"):

@@ -457,6 +457,11 @@ class TestTrain:
         for a, b in zip(sets, before):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            TrainConfig(seed=seed)
+
     def test_rejects_empty_sets(self):
         with pytest.raises(InvalidInputError):
             train(
@@ -559,6 +564,32 @@ class TestModelBundle:
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError, match="layer dimensions"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda model: model.params.weights[2].__setitem__((0, 0), np.inf),
+            lambda model: model.params.biases[0].__setitem__(3, np.nan),
+            lambda model: model.metadata.update(compute_intensity=float("nan")),
+            lambda model: model.metadata.update(history=[1.0, [float("-inf")]]),
+        ],
+        ids=["infinite-weight", "nan-bias", "nan-intensity", "nested-infinity"],
+    )
+    def test_non_finite_values_not_bundlable(self, tmp_path, edit):
+        model = self.small_model()
+        edit(model)
+        path = tmp_path / "m.json"
+        with pytest.raises(InvalidInputError, match="non-finite|finite weights"):
+            save_model(path, model)
+        assert not path.exists()
+
+    def test_unencodable_metadata_not_bundlable(self, tmp_path):
+        model = self.small_model()
+        model.metadata["train_seed"] = 2**64
+        path = tmp_path / "m.json"
+        with pytest.raises(InvalidInputError, match="encode"):
+            save_model(path, model)
+        assert not path.exists()
 
     def test_float64_weights_not_bundlable(self, tmp_path):
         model = self.small_model()

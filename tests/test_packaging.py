@@ -1,0 +1,34 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import dltsched
+
+tomllib = pytest.importorskip("tomllib")
+
+PACKAGE = Path(dltsched.__file__).resolve().parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def third_party_imports() -> set[str]:
+    """Top-level names of the absolute imports in the package that are
+    neither the standard library nor the package itself."""
+    names = set()
+    for source in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"dltsched"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower() for requirement in declared}
+    imported = third_party_imports()
+    assert "numpy" in imported
+    assert imported <= names
