@@ -13,13 +13,12 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import orjson
 
-from . import datagen, evaluation, mlp, solver
+from . import codec, datagen, evaluation, mlp, solver
 from .errors import (
     DltschedError,
     FileFormatError,
@@ -244,7 +243,7 @@ def cmd_train(args) -> int:
     )
     mlp.save_model(args.out, model)
     if args.report:
-        Path(args.report).write_bytes(orjson.dumps(asdict(report)) + b"\n")
+        Path(args.report).write_bytes(codec.dumps(report) + b"\n")
     stop = "early stopping" if report.stopped_early else "epoch cap"
     print(
         f"trained {report.epochs_run} epochs ({stop}); best epoch {report.best_epoch} "
@@ -261,21 +260,15 @@ def _select_split(dataset: datagen.Dataset, split: str, split_seed: int) -> data
 
 
 def _read_train_report(path: str) -> mlp.TrainReport:
-    """The report ``train --report`` wrote, with one finite train and
-    validation loss per epoch run."""
+    """The report ``train --report`` wrote, with one train and validation
+    loss per epoch run."""
+    where = f"{path}: not a train report"
     try:
-        report = mlp.TrainReport(**orjson.loads(Path(path).read_bytes()))
+        report = mlp.TrainReport(**codec.read(codec.read_file(path), where))
+        for losses in (report.train_losses, report.val_losses):
+            codec.numbers(losses, report.epochs_run, "losses")
     except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{path}: not a train report: {exc}") from exc
-    for losses in (report.train_losses, report.val_losses):
-        if not (
-            isinstance(losses, list)
-            and len(losses) == report.epochs_run
-            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in losses)
-        ):
-            raise FileFormatError(
-                f"{path}: not a train report: losses must be two lists of {report.epochs_run!r} finite numbers"
-            )
+        raise FileFormatError(f"{where}: {exc}") from exc
     return report
 
 

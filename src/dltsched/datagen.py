@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import orjson
 
+from . import codec
 from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, StratificationError
 from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_time_rates
 
@@ -29,8 +29,6 @@ STD_CONVENTION = "population"  # divisor n in every std feature
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
 _MIN_STRATUM = 10
-_SEED_LIMIT = 2**64  # every seed is a JSON integer below this, which the file writers can encode
-_NUMBER_TYPES = frozenset((int, float))  # what a JSON number parses to; bool and str are not numbers
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,6 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-def check_seed(seed: int, what: str = "seed") -> None:
-    """Raise :class:`InvalidInputError` unless ``seed`` lies in [0, 2**64)."""
-    if not 0 <= seed < _SEED_LIMIT:
-        raise InvalidInputError(f"{what} must be in [0, 2**64), got {seed}")
-
-
 def record_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-record generator; counter-based so parallel and serial
     generation produce identical datasets."""
@@ -251,7 +243,7 @@ def generate_dataset(
     """
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
-    check_seed(seed)
+    codec.integer(seed, "seed")
     configs = []
     features = np.empty((count, N_FEATURES))
     t_star = np.empty(count)
@@ -270,7 +262,7 @@ def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Datase
     shuffled from dataset order by one permutation drawn from ``seed``."""
     if not len(dataset):
         raise InvalidInputError("cannot split an empty dataset")
-    check_seed(seed, "split seed")
+    codec.integer(seed, "split seed")
     ns = dataset.column("n")
     rng = np.random.default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])
@@ -323,38 +315,19 @@ def denormalize_target(stats: NormalizationStats, y_norm):
     return np.asarray(y_norm, dtype=float) * stats.target_std + stats.target_mean
 
 
-def _config_to_json(config: SltnConfig) -> dict:
-    return {
-        "n": config.n,
-        "root_speed": config.root_speed,
-        "child_speeds": list(config.child_speeds),
-        "link_bandwidths": list(config.link_bandwidths),
-        "load_gb": config.load_gb,
-    }
-
-
 def _record_from_json(obj: dict) -> tuple[SltnConfig, list, float]:
-    """The configuration, feature row and label of one parsed record. Every
-    value must be a JSON number and ``n`` a JSON integer; ``float`` alone
-    would also take numeric strings and booleans."""
-    config, row, t_star = obj["config"], obj["features"], obj["t_star"]
-    n, speeds, bws = config["n"], config["child_speeds"], config["link_bandwidths"]
-    root_speed, load_gb = config["root_speed"], config["load_gb"]
-    values = (root_speed, load_gb, t_star, *speeds, *bws, *row)
-    if type(n) is not int or not _NUMBER_TYPES.issuperset(map(type, values)):
-        raise ValueError("every value must be a JSON number and n a JSON integer")
-    if len(row) != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} features, got {len(row)}")
+    """The configuration, feature row and label of one parsed record."""
+    config = obj["config"]
     return (
         SltnConfig(
-            n=n,
-            root_speed=float(root_speed),
-            child_speeds=tuple(map(float, speeds)),
-            link_bandwidths=tuple(map(float, bws)),
-            load_gb=float(load_gb),
+            n=codec.integer(config["n"], "n"),
+            root_speed=codec.number(config["root_speed"], "root_speed"),
+            child_speeds=tuple(codec.numbers(config["child_speeds"], what="child_speeds")),
+            link_bandwidths=tuple(codec.numbers(config["link_bandwidths"], what="link_bandwidths")),
+            load_gb=codec.number(config["load_gb"], "load_gb"),
         ),
-        row,
-        float(t_star),
+        codec.numbers(obj["features"], N_FEATURES, "features"),
+        codec.number(obj["t_star"], "t_star"),
     )
 
 
@@ -362,67 +335,50 @@ def save_dataset(path, dataset: Dataset, header: DatasetHeader) -> None:
     """Write header plus one compact JSON record per line. Identical inputs
     produce byte-identical files.
 
-    Floats are written in their shortest round-trip form. Inside [1e-4, 1e15)
-    the spelling equals Python's ``repr``; outside it, ``0.00001`` and
-    ``1e16`` stand for ``1e-05`` and ``1e+16``. A seed outside [0, 2**64), a
-    compute intensity that is not positive and finite, a non-finite feature
-    or label, or a value JSON cannot encode raises
-    :class:`InvalidInputError` before any byte is written.
+    A seed outside [0, 2**64), a compute intensity that is not positive and
+    finite, a non-finite feature or label, or a value JSON cannot encode
+    raises :class:`InvalidInputError` before any byte is written.
     """
-    check_seed(header.seed, "header seed")
+    codec.integer(header.seed, "header seed")
     if not 0 < header.compute_intensity < math.inf:
         raise InvalidInputError(f"compute_intensity must be positive and finite, got {header.compute_intensity!r}")
     if not (np.isfinite(dataset.features).all() and np.isfinite(dataset.t_star).all()):
         raise InvalidInputError("every feature and t_star must be finite")
-    option = orjson.OPT_SERIALIZE_NUMPY  # a numpy float in a header or config is written as a float
-    try:
-        lines = [
-            orjson.dumps(
-                {
-                    "format": DATASET_FORMAT,
-                    "version": FORMAT_VERSION,
-                    "seed": header.seed,
-                    "count": len(dataset),
-                    "ranges": {
-                        "n": list(header.ranges.n_range),
-                        "load_gb": list(header.ranges.load_range),
-                        "speed": list(header.ranges.speed_range),
-                        "bandwidth": list(header.ranges.bandwidth_range),
-                    },
-                    "compute_intensity": header.compute_intensity,
-                    "std_convention": STD_CONVENTION,
+    lines = [
+        codec.dumps(
+            {
+                "format": DATASET_FORMAT,
+                "version": FORMAT_VERSION,
+                "seed": header.seed,
+                "count": len(dataset),
+                "ranges": {
+                    "n": list(header.ranges.n_range),
+                    "load_gb": list(header.ranges.load_range),
+                    "speed": list(header.ranges.speed_range),
+                    "bandwidth": list(header.ranges.bandwidth_range),
                 },
-                option=option,
-            )
-        ]
-        for config, row, t_star in zip(dataset.configs, dataset.features.tolist(), dataset.t_star.tolist()):
-            record = {"config": _config_to_json(config), "features": row, "t_star": t_star}
-            lines.append(orjson.dumps(record, option=option))
-    except TypeError as exc:
-        raise InvalidInputError(f"cannot encode the dataset as JSON: {exc}") from exc
+                "compute_intensity": header.compute_intensity,
+                "std_convention": STD_CONVENTION,
+            }
+        )
+    ]
+    for config, row, t_star in zip(dataset.configs, dataset.features.tolist(), dataset.t_star.tolist()):
+        lines.append(codec.dumps({"config": config, "features": row, "t_star": t_star}))
     Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 
 def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     """Read a file written by :func:`save_dataset`.
 
-    Raises :class:`FileFormatError`, naming the line, for anything but
-    strict JSON (``NaN`` and ``Infinity`` are parse errors), a header whose
-    ``seed`` and ``count`` are not JSON integers, a record value that is not
-    a JSON number (a quoted number or a boolean is not), a compute intensity
-    or ``t_star`` that is not positive and finite, a non-finite feature, and
-    a record count other than the header's.
+    A file that breaks the README's file rules raises
+    :class:`FileFormatError` naming the line; so do a compute intensity or
+    ``t_star`` that is not positive and a record count other than the
+    header's.
     """
-    try:
-        lines = Path(path).read_bytes().splitlines()
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    lines = codec.read_file(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty dataset file")
-    try:
-        head = orjson.loads(lines[0])
-    except orjson.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: malformed header: {exc}") from exc
+    head = codec.read(lines[0], f"{path}: malformed header")
     if not isinstance(head, dict):
         raise FileFormatError(f"{path}: malformed header: not a JSON object")
     if head.get("format") != DATASET_FORMAT:
@@ -430,38 +386,34 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     if head.get("version") != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported dataset version {head.get('version')!r}")
     try:
+        bounds = head["ranges"]
         ranges = SamplerRanges(
-            n_range=tuple(int(v) for v in head["ranges"]["n"]),
-            load_range=tuple(float(v) for v in head["ranges"]["load_gb"]),
-            speed_range=tuple(float(v) for v in head["ranges"]["speed"]),
-            bandwidth_range=tuple(float(v) for v in head["ranges"]["bandwidth"]),
+            n_range=tuple(codec.integer(v, "an n bound") for v in codec.numbers(bounds["n"], 2, "n range")),
+            load_range=tuple(codec.numbers(bounds["load_gb"], 2, "load_gb range")),
+            speed_range=tuple(codec.numbers(bounds["speed"], 2, "speed range")),
+            bandwidth_range=tuple(codec.numbers(bounds["bandwidth"], 2, "bandwidth range")),
         )
-        seed, count = head["seed"], head["count"]
-        if type(seed) is not int or type(count) is not int:
-            raise ValueError(f"seed and count must be JSON integers, got {seed!r} and {count!r}")
-        check_seed(seed)
-        header = DatasetHeader(seed=seed, ranges=ranges, compute_intensity=float(head["compute_intensity"]))
+        intensity = codec.number(head["compute_intensity"], "compute_intensity")
+        header = DatasetHeader(seed=codec.integer(head["seed"], "seed"), ranges=ranges, compute_intensity=intensity)
+        count = codec.integer(head["count"], "count")
         std_convention = head["std_convention"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
-    if not 0 < header.compute_intensity < math.inf:
-        raise FileFormatError(
-            f"{path}: compute_intensity must be positive and finite, got {header.compute_intensity!r}"
-        )
+    if intensity <= 0:
+        raise FileFormatError(f"{path}: compute_intensity must be positive, got {intensity!r}")
     if std_convention != STD_CONVENTION:
         raise FileFormatError(f"{path}: std_convention must be {STD_CONVENTION!r}, got {std_convention!r}")
     configs, rows, labels = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}: malformed record"
         try:
-            config, row, t_star = _record_from_json(orjson.loads(line))
+            config, row, t_star = _record_from_json(codec.read(line, where))
         except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if not 0 < t_star < math.inf:
-            raise FileFormatError(f"{path}:{lineno}: t_star must be positive and finite, got {t_star!r}")
-        if not all(map(math.isfinite, row)):
-            raise FileFormatError(f"{path}:{lineno}: non-finite feature in {list(row)}")
+            raise FileFormatError(f"{where}: {exc}") from exc
+        if t_star <= 0:
+            raise FileFormatError(f"{path}:{lineno}: t_star must be positive, got {t_star!r}")
         configs.append(config)
         rows.append(row)
         labels.append(t_star)

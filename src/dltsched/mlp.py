@@ -17,19 +17,17 @@ state.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import orjson
 
+from . import codec
 from .datagen import (
     FEATURE_NAMES,
     NormalizationStats,
     apply_normalization,
-    check_seed,
     denormalize_target,
     extract_features,
 )
@@ -41,7 +39,9 @@ MODEL_VERSION = 2
 
 DEFAULT_LAYER_DIMS = (16, 128, 64, 32, 1)
 EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to an infinite float32
+_WEIGHT_SHAPES = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
+_BIAS_SHAPES = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
 
 # Feature columns of the compute lower bound on the makespan.
 _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_gb", "mean_w", "w0"))
@@ -119,7 +119,7 @@ class TrainConfig:
             raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise InvalidInputError(f"max epochs must be >= 1, got {self.max_epochs}")
-        check_seed(self.seed)
+        codec.integer(self.seed, "seed")
 
 
 @dataclass
@@ -408,13 +408,9 @@ def _has_non_finite(value) -> bool:
 def save_model(path, model: MlpModel) -> None:
     """Serialize the bundle as versioned JSON; round-trips bit-exactly.
 
-    Only float32 weights are bundled: every float32 value is written as the
-    float64 number it equals, in its shortest round-trip form, so loading
-    rounds nothing. Inside [1e-4, 1e15) that spelling equals Python's
-    ``repr``; outside it, ``0.00001`` and ``1e16`` stand for ``1e-05`` and
-    ``1e+16``. A non-finite weight, bias or metadata number, or metadata JSON
-    cannot encode, raises :class:`InvalidInputError` before any byte is
-    written.
+    Only finite float32 weights of the production architecture are bundled.
+    A non-finite metadata number, or metadata JSON cannot encode, raises
+    :class:`InvalidInputError` before any byte is written.
     """
     if model.params.layer_dims != DEFAULT_LAYER_DIMS:
         raise InvalidInputError(f"can only bundle the production architecture {DEFAULT_LAYER_DIMS}")
@@ -428,8 +424,8 @@ def save_model(path, model: MlpModel) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "layer_dims": list(DEFAULT_LAYER_DIMS),
-        "weights": [w.tolist() for w in model.params.weights],
-        "biases": [b.tolist() for b in model.params.biases],
+        "weights": model.params.weights,
+        "biases": model.params.biases,
         "norm": {
             "feature_means": list(model.norm.feature_means),
             "feature_stds": list(model.norm.feature_stds),
@@ -438,23 +434,14 @@ def save_model(path, model: MlpModel) -> None:
         },
         "metadata": model.metadata,
     }
-    try:
-        data = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)  # a numpy float in metadata is a float
-    except TypeError as exc:
-        raise InvalidInputError(f"cannot encode the model bundle as JSON: {exc}") from exc
-    Path(path).write_bytes(data + b"\n")
+    Path(path).write_bytes(codec.dumps(payload) + b"\n")
 
 
 def load_model(path) -> MlpModel:
-    """Read a bundle written by :func:`save_model`; its weights come back float32.
-
-    Any malformed, non-finite or out-of-range value raises
-    :class:`FileFormatError`.
-    """
-    try:
-        obj = orjson.loads(Path(path).read_bytes())
-    except (orjson.JSONDecodeError, OSError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    """Read a bundle written by :func:`save_model`; its weights come back
+    float32. A bundle the README's file rules refuse raises
+    :class:`FileFormatError`."""
+    obj = codec.read(codec.read_file(path), path)
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise FileFormatError(f"{path}: not a model bundle")
     if obj.get("version") != MODEL_VERSION:
@@ -463,36 +450,37 @@ def load_model(path) -> MlpModel:
     if not isinstance(layer_dims, list) or tuple(layer_dims) != DEFAULT_LAYER_DIMS:
         raise FileFormatError(f"{path}: unexpected layer dimensions {layer_dims!r}")
     try:
-        weights = [np.array(w, dtype=float) for w in obj["weights"]]
-        biases = [np.array(b, dtype=float) for b in obj["biases"]]
+        weights = [np.array(w) for w in obj["weights"]]
+        biases = [np.array(b) for b in obj["biases"]]
+        weight_shapes, bias_shapes = [w.shape for w in weights], [b.shape for b in biases]
+        if weight_shapes != _WEIGHT_SHAPES or bias_shapes != _BIAS_SHAPES:
+            raise FileFormatError(
+                f"{path}: weight shapes {weight_shapes} and bias shapes {bias_shapes} do not match "
+                f"{_WEIGHT_SHAPES} and {_BIAS_SHAPES}"
+            )
+        for rows in (*obj["weights"], obj["biases"]):  # every weight row, then every bias vector
+            for row in rows:
+                codec.numbers(row, what="weights and biases")
+        stats = obj["norm"]
         norm = NormalizationStats(
-            feature_means=tuple(float(v) for v in obj["norm"]["feature_means"]),
-            feature_stds=tuple(float(v) for v in obj["norm"]["feature_stds"]),
-            target_mean=float(obj["norm"]["target_mean"]),
-            target_std=float(obj["norm"]["target_std"]),
+            feature_means=tuple(codec.numbers(stats["feature_means"], what="feature_means")),
+            feature_stds=tuple(codec.numbers(stats["feature_stds"], what="feature_stds")),
+            target_mean=codec.number(stats["target_mean"], "target_mean"),
+            target_std=codec.number(stats["target_std"], "target_std"),
         )
-        metadata = dict(obj["metadata"])
+        metadata = obj["metadata"]
+        if type(metadata) is not dict:
+            raise TypeError(f"metadata must be a JSON object, got {type(metadata).__name__}")
+        if codec.number(metadata["compute_intensity"], "compute_intensity") <= 0:
+            raise ValueError(f"compute_intensity must be positive, got {metadata['compute_intensity']!r}")
+        if metadata.get("split_seed") is not None:
+            codec.integer(metadata["split_seed"], "split_seed")
     except (KeyError, TypeError, ValueError, OverflowError, ConstantFeatureError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
-    if "compute_intensity" not in metadata:
-        raise FileFormatError(f"{path}: model metadata lacks compute_intensity")
-    intensity = metadata["compute_intensity"]
-    is_number = isinstance(intensity, (int, float)) and not isinstance(intensity, bool)
-    if not (is_number and 0 < intensity <= sys.float_info.max):
-        raise FileFormatError(f"{path}: compute_intensity must be a positive finite number, got {intensity!r}")
-    split_seed = metadata.get("split_seed")
-    if split_seed is not None and not (type(split_seed) is int and split_seed >= 0):
-        raise FileFormatError(f"{path}: split_seed must be a non-negative integer, got {split_seed!r}")
-    expected_weights = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
-    expected_biases = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
-    weight_shapes, bias_shapes = [w.shape for w in weights], [b.shape for b in biases]
-    if weight_shapes != expected_weights or bias_shapes != expected_biases:
-        raise FileFormatError(
-            f"{path}: weight shapes {weight_shapes} and bias shapes {bias_shapes} do not match "
-            f"{expected_weights} and {expected_biases}"
-        )
     params = MlpParams(weights, biases)
-    # Checked before the cast, which would overflow to inf; NaN fails too.
-    if not (np.abs(params.flat) <= _FLOAT32_MAX).all():
-        raise FileFormatError(f"{path}: non-finite weight or bias, or one beyond float32's range")
+    # Checked before the cast, which would overflow to inf. The bound is where
+    # rounding reaches inf, not float32's largest value: that value's shortest
+    # spelling, 3.4028235e38, parses to a float64 above it.
+    if not (np.abs(params.flat) < _FLOAT32_OVERFLOW).all():
+        raise FileFormatError(f"{path}: a weight or bias beyond float32's range")
     return MlpModel(params=params.astype(np.float32), norm=norm, metadata=metadata)

@@ -386,6 +386,10 @@ class TestPredictCommand:
             (("metadata", "split_seed"), "x", "split_seed"),
             (("metadata", "split_seed"), [1], "split_seed"),
             (("metadata", "split_seed"), -1, "split_seed"),
+            (("weights", 2, 7, 4), "0.5", "JSON numbers"),
+            (("biases", 1, 9), True, "JSON numbers"),
+            (("norm", "target_std"), "324.0", "target_std"),
+            (("metadata",), [["compute_intensity", 100.0], ["split_seed", 7]], "metadata must be a JSON object"),
         ],
         ids=[
             "nan-weight",
@@ -403,6 +407,10 @@ class TestPredictCommand:
             "text-split-seed",
             "list-split-seed",
             "negative-split-seed",
+            "text-weight",
+            "boolean-bias",
+            "text-target-std",
+            "pair-list-metadata",
         ],
     )
     def test_bad_bundle_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, where, value, message):
@@ -426,7 +434,7 @@ class TestPredictCommand:
 
 # Values no bundle field accepts; 1e39 is finite in float64 but not in
 # float32, so it is bad only where the weights are.
-_UNREADABLE = [float("nan"), float("inf"), float("-inf"), "abc", None, 10**400]
+_UNREADABLE = [float("nan"), float("inf"), float("-inf"), "abc", "0.5", True, None, 10**400]
 _WEIGHT_VALUES = [*_UNREADABLE, 1e39, -1e39]
 _DIMS = mlp.DEFAULT_LAYER_DIMS
 _REQUIRED_KEYS = [

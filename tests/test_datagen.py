@@ -309,6 +309,10 @@ class TestNormalization:
             fit_normalization(dataset_of([cfg] * 5, [float(i + 1) for i in range(5)]))
 
 
+# The header's "ranges" for the default SamplerRanges.
+FILE_RANGES = {"n": [3, 20], "load_gb": [1.0, 100.0], "speed": [1.0, 15.0], "bandwidth": [10.0, 150.0]}
+
+
 class TestDatasetFiles:
     @staticmethod
     def header(seed=7):
@@ -344,7 +348,7 @@ class TestDatasetFiles:
             "version": datagen.FORMAT_VERSION,
             "seed": 5,
             "count": 200,
-            "ranges": {"n": [3, 20], "load_gb": [1.0, 100.0], "speed": [1.0, 15.0], "bandwidth": [10.0, 150.0]},
+            "ranges": FILE_RANGES,
             "compute_intensity": intensity,
             "std_convention": "population",
         }
@@ -424,8 +428,28 @@ class TestDatasetFiles:
             {"seed": -1},
             {"seed": 2**64},
             {"count": "10"},
+            {"compute_intensity": "100.0"},
+            {"compute_intensity": True},
+            {"ranges": {**FILE_RANGES, "n": ["3", 20]}},
+            {"ranges": {**FILE_RANGES, "n": [3, 4.9]}},
+            {"ranges": {**FILE_RANGES, "load_gb": [True, 100.0]}},
+            {"ranges": {**FILE_RANGES, "bandwidth": [10.0, "150.0"]}},
         ],
-        ids=["fractions", "float-seed", "text-seed", "boolean-seed", "negative-seed", "seed-2**64", "text-count"],
+        ids=[
+            "fractions",
+            "float-seed",
+            "text-seed",
+            "boolean-seed",
+            "negative-seed",
+            "seed-2**64",
+            "text-count",
+            "text-intensity",
+            "boolean-intensity",
+            "text-n-bound",
+            "fractional-n-bound",
+            "boolean-load-bound",
+            "text-bandwidth-bound",
+        ],
     )
     def test_header_seed_and_count_are_integers(self, tmp_path, fields):
         path = tmp_path / "data.jsonl"

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dltsched import datagen
 from dltsched.errors import FileFormatError, InvalidInputError, TrainingDivergedError
@@ -512,6 +516,34 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         save_model(path, model)
         assert predict(load_model(path), config) == before
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example(values=[float(np.finfo(np.float32).max), -float(np.finfo(np.float32).smallest_subnormal), -0.0])
+    @given(values=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_every_finite_float32_round_trips_bit_exactly(self, tmp_path_factory, values):
+        model = MlpModel(params=init_params(0).astype(np.float32), norm=IDENTITY_NORM, metadata=dict(TOY_META))
+        model.params.flat[: len(values)] = values
+        path = tmp_path_factory.getbasetemp() / "float32-model.json"
+        save_model(path, model)
+        assert load_model(path).params.flat.tobytes() == model.params.flat.tobytes()
+
+    def test_float32_spelling_and_float64_spelling_load_alike(self, tmp_path):
+        # A bundle spells each float32 weight in float32's shortest form; one
+        # spelling each weight as the float64 number it equals loads alike.
+        model = self.small_model()
+        model.params.weights[0][0, 0] = 0.1
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert b"[[0.1," in path.read_bytes() and b"0.10000000149011612" not in path.read_bytes()
+        bundle = json.loads(path.read_text())
+        bundle["weights"] = [w.tolist() for w in model.params.weights]
+        bundle["biases"] = [b.tolist() for b in model.params.biases]
+        old = tmp_path / "float64-spelling.json"
+        old.write_text(json.dumps(bundle))
+        assert b"0.10000000149011612" in old.read_bytes()
+        for loaded in (load_model(path), load_model(old)):
+            assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+            assert loaded.norm == model.norm and loaded.metadata == model.metadata
 
     def test_rejects_tampered_shapes(self, tmp_path):
         import json

@@ -13,16 +13,21 @@ PACKAGE = Path(dltsched.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 
+def absolute_imports(source: Path) -> set[str]:
+    """Top-level names of the absolute imports in one module."""
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
 def third_party_imports() -> set[str]:
     """Top-level names of the absolute imports in the package that are
     neither the standard library nor the package itself."""
-    names = set()
-    for source in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(source.read_text())):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.partition(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.partition(".")[0])
+    names = set().union(*map(absolute_imports, PACKAGE.glob("*.py")))
     return names - set(sys.stdlib_module_names) - {"dltsched"}
 
 
@@ -32,3 +37,8 @@ def test_every_third_party_import_is_a_declared_dependency():
     imported = third_party_imports()
     assert "numpy" in imported
     assert imported <= names
+
+
+def test_only_the_codec_imports_orjson():
+    # Every file's JSON goes through one module, so one number rule holds for all.
+    assert {source.name for source in PACKAGE.glob("*.py") if "orjson" in absolute_imports(source)} == {"codec.py"}
