@@ -37,6 +37,7 @@ from .mlp import (
     TrainReport,
     init_params,
     load_model,
+    load_train_report,
     predict,
     save_model,
     train,
@@ -48,6 +49,7 @@ from .solver import (
     TimingProfile,
     beta_coefficients,
     oracle_solve,
+    parse_system,
     simulate_timeline,
     solve_optimal,
     to_time_rates,

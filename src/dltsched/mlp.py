@@ -31,7 +31,7 @@ from .datagen import (
     denormalize_target,
     extract_features,
 )
-from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, TrainingDivergedError
+from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, NumericError, TrainingDivergedError
 from .solver import SltnConfig
 
 MODEL_FORMAT = "dltsched-model"
@@ -131,6 +131,26 @@ class TrainReport:
     best_val_loss: float
     wall_seconds: float
     stopped_early: bool
+
+
+def load_train_report(path) -> TrainReport:
+    """Read the report ``train --report`` wrote. Every field must hold a JSON
+    value of its type, with one train and one validation loss per epoch run;
+    any other file raises :class:`FileFormatError`."""
+    where = f"{path}: not a train report"
+    try:
+        report = TrainReport(**codec.read(codec.read_file(path), where))
+        codec.integer(report.epochs_run, "epochs_run")
+        codec.integer(report.best_epoch, "best_epoch")
+        codec.number(report.best_val_loss, "best_val_loss")
+        codec.number(report.wall_seconds, "wall_seconds")
+        if type(report.stopped_early) is not bool:
+            raise TypeError(f"stopped_early must be a JSON boolean, got {type(report.stopped_early).__name__}")
+        for losses in (report.train_losses, report.val_losses):
+            codec.numbers(losses, report.epochs_run, "losses")
+    except (ValueError, TypeError) as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+    return report
 
 
 @dataclass
@@ -390,8 +410,18 @@ def predict_features(model: MlpModel, features) -> np.ndarray:
 
 
 def predict(model: MlpModel, config: SltnConfig) -> float:
-    """Predicted optimal makespan in seconds for one configuration."""
-    return float(predict_features(model, extract_features(config).as_array())[0])
+    """Predicted optimal makespan in seconds for one configuration, always
+    finite. A system outside the surrogate's range raises
+    :class:`NumericError`: one whose features overflow (speeds near 1e308),
+    or one that overflows the network's float32 input (a 1e300 GB load)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_star = float(predict_features(model, [extract_features(config)])[0])
+    except OverflowError as exc:
+        raise NumericError(f"system is outside the surrogate's range: {exc}") from exc
+    if not math.isfinite(t_star):
+        raise NumericError(f"makespan {t_star!r} is not finite; the system is outside the surrogate's range")
+    return t_star
 
 
 def _has_non_finite(value) -> bool:

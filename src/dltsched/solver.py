@@ -1,11 +1,20 @@
 """Exact divisible-load scheduling for single-level tree (star) networks.
 
 A root processor distributes an arbitrarily divisible workload to n children
-over sequential single-port links while computing its own share. All nodes
-have communication front-ends, so computation overlaps transmission. The
-minimal makespan is reached when every processor finishes at the same
-instant, which reduces the problem to a chain of pairwise recursions with a
-closed-form solution.
+while computing its own share. The model assumes:
+
+- linear costs: computing or sending a fraction of the load takes that
+  fraction of the whole load's time;
+- no start-up latency on any link or processor;
+- front-ends: the root computes its own share while it transmits, and a
+  child computes once its whole share has arrived;
+- single-port sequential distribution: the root sends one share at a time,
+  to the children in the order given;
+- no result return: a processor is done when it finishes computing.
+
+Among schedules where every child takes part in that order, the makespan
+is least when every processor finishes at the same instant, which reduces
+the problem to a chain of pairwise recursions with a closed-form solution.
 
 All rates here are in time form: seconds per GB of load, for both compute
 (w) and transmission (z). Index 0 always refers to the root.
@@ -25,6 +34,8 @@ from .errors import InvalidInputError, NumericError
 MB_PER_GB = 1000.0
 
 DEFAULT_COMPUTE_INTENSITY = 100.0  # GFLOP of work per GB of load
+
+_NUMBERS_PER_LINE = {"root_speed": 1, "load_gb": 1, "child": 2}  # in a system description
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,45 @@ class TimingProfile:
     compute_finish: tuple[float, ...]
 
 
+def parse_system(text: str, origin: str = "<config>") -> SltnConfig:
+    """The system a description gives, one entry per line.
+
+    Lines: ``root_speed S``, ``load_gb L``, and one ``child SPEED BANDWIDTH``
+    per child processor, in the order the root serves them; a child's two
+    numbers may also be written ``SPEED:BANDWIDTH``. A key and its numbers
+    may be separated by ``=``, and ``#`` starts a comment. Errors name
+    ``origin`` and the line.
+    """
+    scalars: dict[str, float] = {}
+    children: list[list[float]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *values = line.replace("=", " ").split()
+        if key == "child" and len(values) == 1:
+            values = values[0].split(":")
+        if len(values) != _NUMBERS_PER_LINE.get(key):
+            raise InvalidInputError(f"{origin}:{lineno}: unrecognized line {raw.strip()!r}")
+        try:
+            numbers = [float(v) for v in values]
+        except ValueError as exc:
+            raise InvalidInputError(f"{origin}:{lineno}: {exc} in {raw.strip()!r}") from exc
+        if key == "child":
+            children.append(numbers)
+        else:
+            scalars[key] = numbers[0]
+    if len(scalars) < 2 or not children:
+        raise InvalidInputError(f"{origin}: need root_speed, load_gb, and at least one child line")
+    return SltnConfig(
+        n=len(children),
+        root_speed=scalars["root_speed"],
+        child_speeds=tuple(speed for speed, _ in children),
+        link_bandwidths=tuple(bandwidth for _, bandwidth in children),
+        load_gb=scalars["load_gb"],
+    )
+
+
 def to_time_rates(config: SltnConfig, compute_intensity: float = DEFAULT_COMPUTE_INTENSITY) -> TimeRates:
     """Convert speeds and bandwidths into per-GB time costs.
 
@@ -163,6 +213,13 @@ def beta_coefficients(rates: TimeRates) -> list[float]:
 
 def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     """Closed-form optimal load split and makespan for a star network.
+
+    Optimal among schedules where every child takes part and the children
+    are served in the order given; another order, or leaving a child with a
+    slow link out, can finish sooner. At intensity 100, the README's system
+    (root 10, children 5:100, 8:40, 12:75, 25 GB) takes 154.93 s as given,
+    146.25 s with its children in ascending link time (5:100, 12:75, 8:40)
+    and 152.34 s with 8:40 left out.
 
     The share chain alpha_{i-1} w_{i-1} = alpha_i (z_i + w_i) plus load
     conservation gives alpha_i proportional to the beta suffix product

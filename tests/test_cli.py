@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import dltsched
 from dltsched import mlp, solver
-from dltsched.cli import hybrid_predict, main, parse_config_text
+from dltsched.cli import hybrid_predict, main
 from dltsched.errors import InvalidInputError
+from dltsched.solver import parse_system
 
 from conftest import constant_model
 
@@ -105,6 +106,12 @@ class TestSolveCommand:
         assert code == 2
         assert "bad.txt:1" in err
 
+    @pytest.mark.parametrize("spec", ["5", "a:b", "5:100:3", "5:", ":100"])
+    def test_malformed_child_spec_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "solve", "--root-speed", "10", "--load-gb", "25", "--child", spec)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
     def test_missing_required_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--seed", "1", "--out", "x"])
@@ -113,19 +120,23 @@ class TestSolveCommand:
 
 class TestParseConfigText:
     def test_round_trip_fields(self):
-        cfg = parse_config_text("root_speed 7.5\nload_gb 12\nchild 3 30\nchild 4 40\n")
+        cfg = parse_system("root_speed 7.5\nload_gb 12\nchild 3 30\nchild 4 40\n")
         assert cfg.n == 2
         assert cfg.root_speed == 7.5
         assert cfg.child_speeds == (3.0, 4.0)
         assert cfg.link_bandwidths == (30.0, 40.0)
 
     def test_equals_sign_tolerated(self):
-        cfg = parse_config_text("root_speed = 5\nload_gb = 2\nchild 1 10\n")
+        cfg = parse_system("root_speed = 5\nload_gb = 2\nchild 1 10\n")
         assert cfg.root_speed == 5.0
 
     def test_missing_children_rejected(self):
         with pytest.raises(InvalidInputError):
-            parse_config_text("root_speed 5\nload_gb 2\n")
+            parse_system("root_speed 5\nload_gb 2\n")
+
+    def test_child_numbers_may_be_joined_by_a_colon(self):
+        spaced = parse_system("root_speed 5\nload_gb 2\nchild 1 10\nchild 3 30\n")
+        assert parse_system("root_speed 5\nload_gb 2\nchild 1:10\nchild 3 30\n") == spaced
 
 
 class TestGenerateCommand:
@@ -272,6 +283,14 @@ class TestEvaluateCommand:
             lambda payload: {**payload, "train_losses": [10**400] * payload["epochs_run"]},
             lambda payload: {**payload, "val_losses": payload["val_losses"][:-1]},
             lambda payload: {**payload, "epochs_run": payload["epochs_run"] + 1},
+            lambda payload: {**payload, "epochs_run": float(payload["epochs_run"])},
+            lambda payload: {**payload, "best_epoch": True},
+            lambda payload: {**payload, "best_epoch": 1.5},
+            lambda payload: {**payload, "best_val_loss": str(payload["best_val_loss"])},
+            lambda payload: {**payload, "wall_seconds": "3.9"},
+            lambda payload: {**payload, "wall_seconds": None},
+            lambda payload: {**payload, "stopped_early": 1},
+            lambda payload: {**payload, "stopped_early": "false"},
         ],
         ids=[
             "not-json",
@@ -286,6 +305,14 @@ class TestEvaluateCommand:
             "loss-huge-int",
             "unequal-lengths",
             "epochs-mismatch",
+            "epochs-float",
+            "best-epoch-bool",
+            "best-epoch-fraction",
+            "best-loss-string",
+            "wall-seconds-string",
+            "wall-seconds-null",
+            "stopped-early-int",
+            "stopped-early-string",
         ],
     )
     def test_malformed_train_report_is_data_error(self, capsys, tmp_path, tiny_pipeline, edit):
@@ -563,6 +590,19 @@ class TestHybrid:
         )
         assert payload["t_star_s"] == solver.solve_optimal(solver.to_time_rates(config, 100.0), 1e300).t_star
 
+    @pytest.mark.parametrize(
+        "child_speeds, load_gb",
+        [((5.0, 8.0), 1e300), ((1e308, 1e308), 25.0)],
+        ids=["float32-overflowing-load", "overflowing-features"],
+    )
+    def test_estimate_outside_the_surrogate_range_is_verified(self, tiny_pipeline, child_speeds, load_gb):
+        config = solver.SltnConfig(
+            n=2, root_speed=10.0, child_speeds=child_speeds, link_bandwidths=(100.0, 25.0), load_gb=load_gb
+        )
+        decision = hybrid_predict(mlp.load_model(tiny_pipeline["model"]), config)
+        assert decision.source == "dlt-verified" and math.isnan(decision.ml_estimate)
+        assert decision.t_star == solver.solve_optimal(solver.to_time_rates(config, 100.0), load_gb).t_star
+
 
 _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
 
@@ -657,7 +697,7 @@ class TestConfigFuzz:
     @given(text=config_texts())
     def test_config_is_rejected_or_answered(self, tmp_path_factory, tiny_pipeline, text):
         try:
-            config = parse_config_text(text)
+            config = parse_system(text)
         except InvalidInputError:
             pass
         else:

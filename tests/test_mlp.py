@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dltsched import datagen
-from dltsched.errors import FileFormatError, InvalidInputError, TrainingDivergedError
+from dltsched.errors import FileFormatError, InvalidInputError, NumericError, TrainingDivergedError
 from dltsched.mlp import (
     DEFAULT_LAYER_DIMS,
     EXPECTED_PARAM_COUNT,
@@ -654,6 +654,20 @@ class TestPredict:
         assert bound == pytest.approx(10_000.0 * 2.0 / 30.0, rel=1e-12)
         assert bound <= solve_optimal(to_time_rates(config, 10_000.0), config.load_gb).t_star
         assert predict(constant_model(1e9, compute_intensity=10_000.0), config) == 1e9
+
+    @pytest.mark.parametrize(
+        "child_speeds, load_gb",
+        [((5.0, 8.0), 1e300), ((1e308, 1e308), 25.0)],
+        ids=["float32-overflowing-load", "overflowing-features"],
+    )
+    def test_system_outside_the_range_raises_numeric_error(self, child_speeds, load_gb):
+        # The suite turns warnings into errors, so this also shows that no
+        # numpy overflow or invalid-value warning escapes.
+        config = SltnConfig(
+            n=2, root_speed=10.0, child_speeds=child_speeds, link_bandwidths=(100.0, 25.0), load_gb=load_gb
+        )
+        with pytest.raises(NumericError, match="outside the surrogate's range"):
+            predict(TestModelBundle.small_model(), config)
 
     def test_predict_agrees_with_predict_features(self):
         # On float64 weights a one-row pass and a batched one agree to 1e-12.

@@ -42,3 +42,8 @@ def test_every_third_party_import_is_a_declared_dependency():
 def test_only_the_codec_imports_orjson():
     # Every file's JSON goes through one module, so one number rule holds for all.
     assert {source.name for source in PACKAGE.glob("*.py") if "orjson" in absolute_imports(source)} == {"codec.py"}
+
+
+def test_the_command_line_imports_no_numpy():
+    # Numeric decisions belong to the library modules a caller imports too.
+    assert "numpy" not in absolute_imports(PACKAGE / "cli.py")
