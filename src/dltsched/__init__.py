@@ -26,7 +26,6 @@ from .evaluation import (
     MetricReport,
     Stratum,
     compute_metrics,
-    feature_importance,
     residual_analysis,
     stratify,
 )

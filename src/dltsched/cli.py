@@ -237,8 +237,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    if math.isnan(args.threshold):
-        raise InvalidInputError("--threshold must be a number of seconds, got nan")
+    if not math.isfinite(args.threshold):
+        raise InvalidInputError(f"--threshold must be a finite number of seconds, got {args.threshold}")
     model = mlp.load_model(args.model)
     config = _config_from_args(args)
     decision = hybrid_predict(model, config, args.threshold)

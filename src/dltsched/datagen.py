@@ -164,8 +164,8 @@ def _read_only(values) -> np.ndarray:
 
 
 def record_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-record generator; counter-based so parallel and serial
-    generation produce identical datasets."""
+    """Independent per-record generator, keyed by seed and index alone, so
+    record i does not depend on ``count``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -426,8 +426,4 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
 
 def dataset_file_hash(path) -> str:
     """SHA-256 of the dataset file, recorded in model metadata."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(codec.read_file(path)).hexdigest()

@@ -24,9 +24,9 @@ class ConstantFeatureError(DltschedError):
 class TrainingDivergedError(DltschedError):
     """Training loss became non-finite."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"training diverged at epoch {epoch}")
+        super().__init__(f"training diverged at epoch {epoch}")
 
 
 class FileFormatError(DltschedError):

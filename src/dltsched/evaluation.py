@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import FEATURE_NAMES, Dataset, apply_normalization
+from .datagen import Dataset
 from .errors import InvalidInputError
-from .mlp import MlpModel, input_gradients
 
 # Bin edges follow the regimes worth distinguishing operationally: tiny
 # loads where relative error blows up, and the heterogeneity level above
@@ -165,21 +164,6 @@ def residual_analysis(predictions, targets) -> tuple[list[tuple], list[tuple], l
         _histogram_rows(residuals / targets * 100.0),
         list(zip(predictions.tolist(), residuals.tolist())),
     )
-
-
-def feature_importance(model: MlpModel, features) -> list[tuple[str, float]]:
-    """Mean absolute output gradient per input feature, largest first.
-
-    Gradients are taken in normalized input space; ``features`` are raw
-    feature rows.
-    """
-    x = np.atleast_2d(apply_normalization(model.norm, features))
-    if x.shape[0] == 0:
-        raise InvalidInputError("need at least one sample for importance analysis")
-    grads = input_gradients(model.params, x)
-    importance = np.mean(np.abs(grads), axis=0)
-    ranked = sorted(zip(FEATURE_NAMES, importance), key=lambda kv: -kv[1])
-    return [(name, float(v)) for name, v in ranked]
 
 
 def _write_table(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> Path:

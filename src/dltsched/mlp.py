@@ -5,9 +5,9 @@ mini-batches, and early stopping on validation MSE. A deployable
 surrogate's weights are float32 from training through the bundle to
 inference: ``train`` rounds its initial weights and z-scored rows to
 float32 and returns float32 weights, ``save_model`` refuses any other
-precision and ``load_model`` returns float32. ``forward``, ``backward``,
-``input_gradients`` and ``adam_step`` compute in the precision of the
-weights they are given, so hand-built float64 weights still run in float64.
+precision and ``load_model`` returns float32. ``forward``, ``backward`` and
+``adam_step`` compute in the precision of the weights they are given, so
+hand-built float64 weights still run in float64.
 Validation MSE, denormalization and the compute bound stay float64.
 Training is bit-deterministic given the seed. The bundle packs the weights
 together with the normalization statistics so inference needs no external
@@ -42,6 +42,8 @@ EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to an infinite float32
 _WEIGHT_SHAPES = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
 _BIAS_SHAPES = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator guard
 
 # Feature columns of the compute lower bound on the makespan.
 _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_gb", "mean_w", "w0"))
@@ -170,8 +172,9 @@ class MlpModel:
 
 
 def init_params(seed, layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS) -> MlpParams:
-    """He-normal weights (variance 2/fan_in), zero biases, deterministic in seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    """He-normal weights (variance 2/fan_in), zero biases, deterministic in
+    ``seed``, an integer or a ``SeedSequence``."""
+    rng = np.random.default_rng(seed)
     weights = []
     biases = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -229,28 +232,12 @@ def backward(params: MlpParams, inputs: list[np.ndarray], residuals) -> MlpParam
         np.matmul(dout.T, inputs[k], out=grads.weights[k])
         dout.sum(axis=0, out=grads.biases[k])
         if k > 0:
-            dout = _times_weights(dout, params.weights[k])
+            w = params.weights[k]
+            # dout @ w; a one-row w makes it an outer product, which the
+            # broadcast multiply computes with the same bits and no BLAS call.
+            dout = dout * w if w.shape[0] == 1 else dout @ w
             dout *= inputs[k] > 0
     return grads
-
-
-def _times_weights(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``dout @ w``; a one-row ``w`` makes it an outer product, which the
-    broadcast multiply computes with the same bits and no BLAS call."""
-    return dout * w if w.shape[0] == 1 else dout @ w
-
-
-def input_gradients(params: MlpParams, x) -> np.ndarray:
-    """Per-sample gradient of the output with respect to each input, in the
-    weights' precision."""
-    x = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
-    _, inputs = forward(params, x)
-    dout = np.ones((x.shape[0], 1), dtype=x.dtype)
-    for k in range(len(params.weights) - 1, -1, -1):
-        dout = _times_weights(dout, params.weights[k])
-        if k > 0:
-            dout *= inputs[k] > 0
-    return dout
 
 
 @dataclass
@@ -268,13 +255,7 @@ class AdamState:
 
 
 def adam_step(
-    params: MlpParams,
-    grads: MlpParams,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: MlpParams, grads: MlpParams, state: AdamState, learning_rate: float
 ) -> tuple[MlpParams, AdamState]:
     """One Adam update with bias-corrected moments. Mutates params and state.
 
@@ -283,23 +264,23 @@ def adam_step(
     the bits a per-array update would give it.
     """
     state.t += 1
-    correct1 = 1.0 - beta1**state.t
-    correct2 = 1.0 - beta2**state.t
+    correct1 = 1.0 - ADAM_BETA1**state.t
+    correct2 = 1.0 - ADAM_BETA2**state.t
     g, m, v = grads.flat, state.m, state.v
     step = np.empty_like(g)
     denom = np.empty_like(g)
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=step)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
     m += step
-    v *= beta2
+    v *= ADAM_BETA2
     np.square(g, out=step)
-    step *= 1.0 - beta2
+    step *= 1.0 - ADAM_BETA2
     v += step
     np.divide(m, correct1, out=step)
     step *= learning_rate
     np.divide(v, correct2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step /= denom
     params.flat -= step
     return params, state
@@ -339,7 +320,7 @@ def train(
         raise InvalidInputError("training and validation sets must be nonempty")
 
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
-    params = init_params(np.random.default_rng(init_ss), (x_train.shape[1], 128, 64, 32, 1)).astype(np.float32)
+    params = init_params(init_ss).astype(np.float32)
     rng = np.random.default_rng(shuffle_ss)
     state = AdamState.zeros(params)
 

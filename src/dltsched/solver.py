@@ -129,10 +129,6 @@ class LoadAllocation:
         if not 0 < self.t_star < math.inf:
             raise NumericError(f"makespan {self.t_star!r} s outside the double range; load too large or too small")
 
-    @property
-    def n(self) -> int:
-        return len(self.alpha) - 1
-
 
 @dataclass(frozen=True)
 class TimingProfile:

@@ -625,6 +625,8 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         ["predict", "--model", "{model}", "--config", "{config}"],
         ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
         ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "nan"],
+        ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "inf"],
+        ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold=-inf"],
     ],
     ids=[
         "generate-negative-seed",
@@ -642,6 +644,8 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         "predict-nan-load-in-config",
         "hybrid-nan-load",
         "hybrid-nan-threshold",
+        "hybrid-infinite-threshold",
+        "hybrid-negative-infinite-threshold",
     ],
 )
 def test_bad_value_is_usage_error(capsys, tmp_path, tiny_pipeline, argv):

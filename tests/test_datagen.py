@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -336,6 +337,13 @@ class TestDatasetFiles:
         save_dataset(p1, dataset, self.header(seed=11))
         save_dataset(p2, generate_dataset(25, seed=11), self.header(seed=11))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_hash_is_sha256_of_the_bytes(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, generate_dataset(5, seed=3), self.header(seed=3))
+        assert datagen.dataset_file_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises(FileFormatError):
+            datagen.dataset_file_hash(tmp_path / "missing.jsonl")
 
     @pytest.mark.parametrize("intensity", [100.0, 10_000.0])
     def test_lines_are_compact_standard_json(self, tmp_path, intensity):

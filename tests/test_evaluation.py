@@ -13,19 +13,13 @@ from dltsched.evaluation import (
     Stratum,
     compute_metrics,
     emit_plot_data,
-    feature_importance,
     residual_analysis,
     stratify,
 )
-from dltsched.mlp import MlpModel, TrainReport, init_params
+from dltsched.mlp import TrainReport
 from dltsched.solver import SltnConfig
 
 from conftest import dataset_of
-
-IDENTITY_NORM = datagen.NormalizationStats(
-    feature_means=(0.0,) * 16, feature_stds=(1.0,) * 16, target_mean=0.0, target_std=1.0
-)
-
 
 def config_for(n=3, load=10.0, speeds=None, bws=None):
     speeds = speeds or (4.0,) * n
@@ -164,46 +158,6 @@ class TestResidualAnalysis:
         preds = targets + rng.normal(0, 10, 95)
         for hist in residual_analysis(preds, targets)[:2]:
             assert sum(count for _, _, count in hist) == 95
-
-
-class TestFeatureImportance:
-    def test_zero_model_has_zero_importance(self):
-        params = init_params(0)
-        for w in params.weights:
-            w[:] = 0.0
-        model = MlpModel(params=params, norm=IDENTITY_NORM)
-        ranked = feature_importance(model, np.random.default_rng(5).normal(size=(20, 16)))
-        assert all(v == 0.0 for _, v in ranked)
-
-    def test_duplicated_input_columns_rank_equally(self):
-        params = init_params(6)
-        params.weights[0][:, 1] = params.weights[0][:, 0]
-        model = MlpModel(params=params, norm=IDENTITY_NORM)
-        ranked = dict(feature_importance(model, np.random.default_rng(6).normal(size=(50, 16))))
-        assert ranked["n"] == pytest.approx(ranked["load_gb"], rel=1e-12)
-
-    def test_matches_finite_difference_sensitivities(self):
-        from dltsched.mlp import forward
-
-        params = init_params(9)
-        model = MlpModel(params=params, norm=IDENTITY_NORM)
-        x = np.random.default_rng(7).normal(size=(10, 16))
-        ranked = dict(feature_importance(model, x))
-        eps = 1e-6
-        for j, name in enumerate(datagen.FEATURE_NAMES):
-            sens = []
-            for row in x:
-                up, down = row.copy(), row.copy()
-                up[j] += eps
-                down[j] -= eps
-                sens.append((forward(params, up)[0][0] - forward(params, down)[0][0]) / (2 * eps))
-            assert abs(np.mean(np.abs(sens)) - ranked[name]) <= 1e-3
-
-    def test_ranked_descending(self):
-        model = MlpModel(params=init_params(10), norm=IDENTITY_NORM)
-        ranked = feature_importance(model, np.random.default_rng(8).normal(size=(30, 16)))
-        values = [v for _, v in ranked]
-        assert values == sorted(values, reverse=True)
 
 
 class TestEmitPlotData:

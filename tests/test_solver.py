@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dltsched.datagen import SamplerRanges
 from dltsched.errors import InvalidInputError, NumericError
 from dltsched.solver import (
     SltnConfig,
@@ -230,6 +231,16 @@ class TestOracleSolve:
             np.testing.assert_allclose(closed.alpha, linear.alpha, rtol=1e-9)
 
 
+@st.composite
+def default_box_systems(draw):
+    """A system from the default sampling box."""
+    ranges = SamplerRanges()
+    n = draw(st.integers(*ranges.n_range))
+    speeds = draw(st.lists(st.floats(*ranges.speed_range), min_size=n + 1, max_size=n + 1))
+    bandwidths = draw(st.lists(st.floats(*ranges.bandwidth_range), min_size=n, max_size=n))
+    return SltnConfig(n, speeds[0], tuple(speeds[1:]), tuple(bandwidths), draw(st.floats(*ranges.load_range)))
+
+
 class TestInvariants:
     def test_conservation_and_positivity(self):
         rng = np.random.default_rng(21)
@@ -249,3 +260,20 @@ class TestInvariants:
                 z=(*rates.z, float(rng.uniform(1000 / 150, 100))),
             )
             assert oracle_solve(extended, load).t_star < oracle_solve(rates, load).t_star
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(default_box_systems(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e6))
+    def test_scaling_every_rate_divides_the_makespan(self, config, k, intensity):
+        # Every w and z is divided by k, so every finish time is too and the
+        # equal-finish shares stay put.
+        scaled = SltnConfig(
+            config.n,
+            config.root_speed * k,
+            tuple(s * k for s in config.child_speeds),
+            tuple(b * k for b in config.link_bandwidths),
+            config.load_gb,
+        )
+        base = solve_optimal(to_time_rates(config, intensity), config.load_gb)
+        fast = solve_optimal(to_time_rates(scaled, intensity), config.load_gb)
+        assert fast.t_star == pytest.approx(base.t_star / k, rel=1e-12)
+        np.testing.assert_allclose(fast.alpha, base.alpha, rtol=1e-12)
