@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
     metadata = {
         "train_seed": args.seed,
         "split_seed": split_seed,
-        "dataset_hash": datagen.dataset_file_hash(args.data),
+        "dataset_hash": header.sha256,
         "compute_intensity": header.compute_intensity,
     }
     model, report = mlp.train(

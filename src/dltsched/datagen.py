@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -122,11 +122,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetHeader:
-    """What generation was asked for; ``save_dataset`` adds the rest."""
+    """What generation was asked for; ``save_dataset`` adds the rest.
+    ``sha256`` is the hex SHA-256 of the bytes :func:`load_dataset` parsed,
+    ``None`` for a header not read from a file; equality ignores it."""
 
     seed: int
     ranges: SamplerRanges
     compute_intensity: float
+    sha256: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -375,7 +378,10 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     ``t_star`` that is not positive and a record count other than the
     header's.
     """
-    lines = codec.read_file(path).splitlines()
+    data = codec.read_file(path)
+    digest = hashlib.sha256(data).hexdigest()
+    lines = data.splitlines()
+    del data  # parse from the lines alone, without the file's bytes held beside them
     if not lines:
         raise FileFormatError(f"{path}: empty dataset file")
     head = codec.read(lines[0], f"{path}: malformed header")
@@ -394,7 +400,9 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
             bandwidth_range=tuple(codec.numbers(bounds["bandwidth"], 2, "bandwidth range")),
         )
         intensity = codec.number(head["compute_intensity"], "compute_intensity")
-        header = DatasetHeader(seed=codec.integer(head["seed"], "seed"), ranges=ranges, compute_intensity=intensity)
+        header = DatasetHeader(
+            seed=codec.integer(head["seed"], "seed"), ranges=ranges, compute_intensity=intensity, sha256=digest
+        )
         count = codec.integer(head["count"], "count")
         std_convention = head["std_convention"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -422,8 +430,3 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     if not configs:
         raise FileFormatError(f"{path}: no records")
     return header, Dataset(tuple(configs), np.reshape(rows, (count, N_FEATURES)), labels)
-
-
-def dataset_file_hash(path) -> str:
-    """SHA-256 of the dataset file, recorded in model metadata."""
-    return hashlib.sha256(codec.read_file(path)).hexdigest()

@@ -187,23 +187,29 @@ def init_params(seed, layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS) -> MlpPa
 
 
 def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the network on a batch (or single vector) of inputs.
+    """Run the network on a batch of inputs, shape (count, 16), or on one
+    row, shape (16,).
 
-    Returns the outputs and the activation fed into each layer, which
-    :func:`backward` takes. Inputs are cast to the weights' precision, and
-    so is the output.
+    Returns the outputs, shape (count,) for a batch and 0-d for a row, and
+    the activation fed into each layer, which :func:`backward` takes for a
+    batch. A row goes through vector-matrix products with no batch axis:
+    ``np.dot`` on a row reaches the BLAS matrix-vector kernel ``matmul``
+    uses for a batch of one, so the bits are the same, at less fixed cost
+    per layer. Inputs are cast to the weights' precision, and so is the
+    output.
     """
-    h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
+    h = np.asarray(x, dtype=params.flat.dtype)
+    product = np.matmul if h.ndim > 1 else np.dot
     inputs = []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         inputs.append(h)
-        z = h @ w.T
+        z = product(h, w.T)
         z += b
         h = np.maximum(z, 0.0, out=z)  # ReLU in place; z is this pass's own buffer
     inputs.append(h)
-    out = h @ params.weights[-1].T
+    out = product(h, params.weights[-1].T)
     out += params.biases[-1]
-    return out[:, 0], inputs
+    return out[..., 0], inputs
 
 
 def loss_mse(predictions, targets) -> float:
@@ -394,12 +400,25 @@ def predict(model: MlpModel, config: SltnConfig) -> float:
     """Predicted optimal makespan in seconds for one configuration, always
     finite. A system outside the surrogate's range raises
     :class:`NumericError`: one whose features overflow (speeds near 1e308),
-    or one that overflows the network's float32 input (a 1e300 GB load)."""
+    or one whose z-scored features leave float32's range (a 1e300 GB load).
+
+    The answer of :func:`predict_features` on the one row, bit for bit, with
+    the z-score, the inverse z-score and the compute bound taken in Python
+    floats by the same operations in the same order; only the network runs
+    in numpy, on a 1-D row.
+    """
+    norm = model.norm
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t_star = float(predict_features(model, [extract_features(config)])[0])
+        f = extract_features(config)
     except OverflowError as exc:
         raise NumericError(f"system is outside the surrogate's range: {exc}") from exc
+    row = [(v - m) / s for v, m, s in zip(f, norm.feature_means, norm.feature_stds)]
+    if not all(-_FLOAT32_OVERFLOW < v < _FLOAT32_OVERFLOW for v in row):
+        raise NumericError("a z-scored feature is beyond float32's range; the system is outside the surrogate's range")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge finite input may overflow inside the network
+        y, _ = forward(model.params, row)
+    bound = model.compute_intensity * f.load_gb / (f.w0 + f.n * f.mean_w)
+    t_star = max(float(y) * norm.target_std + norm.target_mean, bound)
     if not math.isfinite(t_star):
         raise NumericError(f"makespan {t_star!r} is not finite; the system is outside the surrogate's range")
     return t_star

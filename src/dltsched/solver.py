@@ -67,7 +67,7 @@ class SltnConfig:
             ("bandwidth", self.link_bandwidths),
         ):
             for v in values:
-                if not (v > 0 and math.isfinite(v)):
+                if not 0.0 < v < math.inf:
                     raise InvalidInputError(f"every {name} must be positive and finite, got {v}")
 
 
@@ -91,10 +91,10 @@ class TimeRates:
         if not self.w:
             raise InvalidInputError("need at least one child processor")
         for v in (self.w0, *self.w):
-            if not (v > 0 and math.isfinite(v)):
+            if not 0.0 < v < math.inf:
                 raise InvalidInputError(f"compute rates must be positive and finite, got {v}")
         for v in self.z:
-            if not (v >= 0 and math.isfinite(v)):
+            if not 0.0 <= v < math.inf:
                 raise InvalidInputError(f"link rates must be non-negative and finite, got {v}")
 
     @property
@@ -120,11 +120,11 @@ class LoadAllocation:
         if abs(total - 1.0) > 1e-12:
             raise NumericError(f"load fractions sum to {total!r}, expected 1")
         for a in self.alpha:
-            if not (0.0 < a < 1.0) or not math.isfinite(a):
+            if not 0.0 < a < 1.0:
                 raise NumericError(
                     f"load fraction {a!r} outside (0, 1); rate spread too extreme for double precision"
                 )
-        if not (math.isfinite(self.t_star_norm) and self.t_star_norm > 0):
+        if not 0.0 < self.t_star_norm < math.inf:
             raise NumericError(f"non-finite or non-positive makespan {self.t_star_norm!r}")
         if not 0 < self.t_star < math.inf:
             raise NumericError(f"makespan {self.t_star!r} s outside the double range; load too large or too small")
@@ -188,7 +188,7 @@ def to_time_rates(config: SltnConfig, compute_intensity: float = DEFAULT_COMPUTE
     ``compute_intensity`` is the work content of the load in GFLOP per GB,
     so w = intensity / speed and z = 1000 / bandwidth, both in s/GB.
     """
-    if not (compute_intensity > 0 and math.isfinite(compute_intensity)):
+    if not 0.0 < compute_intensity < math.inf:
         raise InvalidInputError(f"compute intensity must be positive and finite, got {compute_intensity}")
     return TimeRates(
         w0=compute_intensity / config.root_speed,
@@ -230,7 +230,7 @@ def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     underflows to zero, or whose beta coefficient leaves the double range,
     raises NumericError.
     """
-    if not (load_gb > 0 and math.isfinite(load_gb)):
+    if not 0.0 < load_gb < math.inf:
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")
     log_s = [0.0]
     for beta in reversed(beta_coefficients(rates)):
@@ -282,7 +282,7 @@ def oracle_solve(rates: TimeRates, load_gb: float) -> LoadAllocation:
     exact fractions, and 14 children with w falling from 0.0117 to 1.3e-17
     give a share of -6.4e-19 and ``NumericError``.
     """
-    if not (load_gb > 0 and math.isfinite(load_gb)):
+    if not 0.0 < load_gb < math.inf:
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")
     n = rates.n
     a = np.zeros((n + 1, n + 1))

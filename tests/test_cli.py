@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dltsched
-from dltsched import mlp, solver
+from dltsched import codec, datagen, mlp, solver
 from dltsched.cli import hybrid_predict, main
 from dltsched.errors import InvalidInputError
 from dltsched.solver import parse_system
@@ -179,6 +180,21 @@ class TestTrainCommand:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(tiny_pipeline["data"]), "--out", str(tmp_path / "m.json"), "--dropout", "0.2"])
         assert exc.value.code == 2
+
+    def test_dataset_is_read_once_and_hashed(self, capsys, tmp_path, tiny_pipeline, monkeypatch):
+        # The recorded hash is of the bytes the model was trained on: the
+        # one read that load_dataset parses, not a second read of the file.
+        reads, read_file = [], codec.read_file
+
+        def counting_read_file(path):
+            reads.append(Path(path))
+            return read_file(path)
+
+        monkeypatch.setattr(codec, "read_file", counting_read_file)
+        data, model = tiny_pipeline["data"], tmp_path / "m.json"
+        assert run(capsys, "train", "--data", str(data), "--out", str(model), "--max-epochs", "1")[0] == 0
+        assert reads == [data]
+        assert mlp.load_model(model).metadata["dataset_hash"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
     def test_model_is_loadable(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])
@@ -555,6 +571,26 @@ class TestHybrid:
         exact = solver.solve_optimal(solver.to_time_rates(config, 100.0), config.load_gb)
         assert decision.t_star == exact.t_star
 
+    def test_ml_estimate_is_predict_on_both_branches(self, tiny_pipeline):
+        # The benchmark's hybrid check compares ml_estimate with predict()
+        # for equality; the threshold at the median estimate sends about
+        # half the systems down each branch.
+        model = mlp.load_model(tiny_pipeline["model"])
+        configs = [datagen.sample_config(datagen.record_rng(31, i)) for i in range(200)]
+        estimates = [mlp.predict(model, c) for c in configs]
+        threshold = sorted(estimates)[len(estimates) // 2]
+        sources = set()
+        for config, estimate in zip(configs, estimates):
+            decision = hybrid_predict(model, config, threshold)
+            assert decision.ml_estimate == estimate
+            if decision.source == "ml":
+                assert decision.t_star == estimate <= threshold
+            else:
+                exact = solver.solve_optimal(solver.to_time_rates(config, 100.0), config.load_gb)
+                assert decision.t_star == exact.t_star and estimate > threshold
+            sources.add(decision.source)
+        assert sources == {"ml", "dlt-verified"}
+
     def test_surrogate_branch_is_bounded(self):
         config = self.config()
         decision = hybrid_predict(constant_model(-5.0, compute_intensity=100.0), config, threshold=1e12)
@@ -578,8 +614,9 @@ class TestHybrid:
         assert payload["t_star_s"] == pytest.approx(exact.t_star, rel=1e-12)
 
     def test_nan_estimate_is_verified(self, capsys, tiny_pipeline):
-        # A 1e300 GB load overflows the network's float32 input, so its
-        # estimate is NaN, while the exact makespan is still finite.
+        # A 1e300 GB load has a z-score beyond float32's range, so predict
+        # refuses it and the estimate is NaN, while the exact makespan is
+        # still finite.
         system = ["--root-speed", "10", "--load-gb", "1e300", "--child", "5:100", "--child", "8:25"]
         code, out, _ = run(capsys, "hybrid", "--model", str(tiny_pipeline["model"]), *system, "--format", "machine")
         assert code == 0

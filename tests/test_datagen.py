@@ -341,9 +341,11 @@ class TestDatasetFiles:
     def test_file_hash_is_sha256_of_the_bytes(self, tmp_path):
         path = tmp_path / "data.jsonl"
         save_dataset(path, generate_dataset(5, seed=3), self.header(seed=3))
-        assert datagen.dataset_file_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        header, _ = load_dataset(path)
+        assert header.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert self.header(seed=3).sha256 is None and header == self.header(seed=3)
         with pytest.raises(FileFormatError):
-            datagen.dataset_file_hash(tmp_path / "missing.jsonl")
+            load_dataset(tmp_path / "missing.jsonl")
 
     @pytest.mark.parametrize("intensity", [100.0, 10_000.0])
     def test_lines_are_compact_standard_json(self, tmp_path, intensity):

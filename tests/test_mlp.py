@@ -168,6 +168,21 @@ class TestForward:
         assert all(h.dtype == np.float32 for h in inputs32)
         np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)
 
+    def test_row_matches_batch_of_one(self):
+        # A 1-D row takes vector-matrix products and has no batch axis. It
+        # agrees with the same row as a batch of one to 1e-12 on float64
+        # weights, and on float32 weights to the 1e-5 (about 80 eps) of
+        # test_float32_predict_agrees_with_predict_features.
+        x = np.random.default_rng(7).normal(size=(50, 16))
+        params64 = init_params(3)
+        for params, tol in ((params64, 1e-12), (params64.astype(np.float32), 1e-5)):
+            for row in x:
+                out, inputs = forward(params, row)
+                assert out.shape == () and out.dtype == params.flat.dtype
+                assert [h.shape for h in inputs] == [(16,), (128,), (64,), (32,)]
+                batch_of_one, _ = forward(params, row[None, :])
+                np.testing.assert_allclose(out, batch_of_one[0], rtol=tol, atol=tol)
+
     def test_caller_input_unchanged(self):
         params = init_params(2)
         x = np.random.default_rng(5).normal(size=(8, 16))
@@ -650,6 +665,22 @@ class TestPredict:
         )
         with pytest.raises(NumericError, match="outside the surrogate's range"):
             predict(TestModelBundle.small_model(), config)
+
+    def test_huge_finite_z_score_raises_numeric_error(self):
+        # A load whose z-score lies just below float32's largest value
+        # (about 3.4028e38) passes the range check and overflows inside the
+        # network; with every weight positive the output is +inf. The suite
+        # turns warnings into errors, so this also shows that the overflow
+        # raises no numpy warning.
+        model = TestModelBundle.small_model()
+        np.abs(model.params.flat, out=model.params.flat)
+        load = datagen.FEATURE_NAMES.index("load_gb")
+        load_gb = model.norm.feature_means[load] + model.norm.feature_stds[load] * 3.4e38
+        config = SltnConfig(
+            n=2, root_speed=10.0, child_speeds=(5.0, 8.0), link_bandwidths=(100.0, 25.0), load_gb=load_gb
+        )
+        with pytest.raises(NumericError, match="makespan inf is not finite"):
+            predict(model, config)
 
     def test_predict_agrees_with_predict_features(self):
         # On float64 weights a one-row pass and a batched one agree to 1e-12.

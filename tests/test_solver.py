@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from dltsched.datagen import SamplerRanges
 from dltsched.errors import InvalidInputError, NumericError
 from dltsched.solver import (
+    LoadAllocation,
     SltnConfig,
     TimeRates,
     beta_coefficients,
@@ -53,6 +55,63 @@ class TestToTimeRates:
             SltnConfig(n=1, root_speed=-1.0, child_speeds=(1.0,), link_bandwidths=(10.0,), load_gb=1.0)
         with pytest.raises(InvalidInputError):
             SltnConfig(n=2, root_speed=1.0, child_speeds=(1.0,), link_bandwidths=(10.0, 10.0), load_gb=1.0)
+
+
+# Values every positive-and-finite check refuses: NaN, both infinities, both
+# zeros and a negative number.
+NOT_POSITIVE_AND_FINITE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.5]
+
+
+def config_with(**changes) -> SltnConfig:
+    """A valid two-child system with ``changes`` applied; a tuple field takes
+    a one-value change in its first entry."""
+    fields = dict(root_speed=4.0, child_speeds=(3.0, 6.0), link_bandwidths=(30.0, 60.0), load_gb=20.0)
+    for name, value in changes.items():
+        fields[name] = (value, *fields[name][1:]) if isinstance(fields[name], tuple) else value
+    return SltnConfig(n=2, **fields)
+
+
+class TestRangeChecks:
+    """Each check refuses NaN, +-inf, 0.0, -0.0 and a negative value with its
+    own exception type and message."""
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_AND_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("root_speed", "every speed must be positive and finite"),
+            ("child_speeds", "every speed must be positive and finite"),
+            ("link_bandwidths", "every bandwidth must be positive and finite"),
+            ("load_gb", "load must be positive and finite"),
+        ],
+    )
+    def test_config(self, field, message, value):
+        with pytest.raises(InvalidInputError, match=re.escape(f"{message}, got {value}")):
+            config_with(**{field: value})
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_AND_FINITE, ids=repr)
+    def test_compute_rates(self, value):
+        message = re.escape(f"compute rates must be positive and finite, got {value}")
+        with pytest.raises(InvalidInputError, match=message):
+            TimeRates(w0=value, w=(1.0, 2.0), z=(0.5, 0.5))
+        with pytest.raises(InvalidInputError, match=message):
+            TimeRates(w0=1.0, w=(1.0, value), z=(0.5, 0.5))
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_AND_FINITE, ids=repr)
+    def test_link_rates(self, value):
+        if value == 0.0:  # an idealised free link, either zero
+            assert TimeRates(w0=1.0, w=(1.0, 2.0), z=(0.5, value)).z[1] == value
+            return
+        message = re.escape(f"link rates must be non-negative and finite, got {value}")
+        with pytest.raises(InvalidInputError, match=message):
+            TimeRates(w0=1.0, w=(1.0, 2.0), z=(0.5, value))
+
+    @pytest.mark.parametrize("value", [*NOT_POSITIVE_AND_FINITE, 1.0, 1.5])
+    def test_share(self, value):
+        # A NaN second share makes the sum NaN, which the sum check lets
+        # through, so the first share's own check decides.
+        with pytest.raises(NumericError, match=re.escape(f"load fraction {value!r} outside (0, 1)")):
+            LoadAllocation(alpha=(value, math.nan), t_star_norm=1.0, t_star=1.0)
 
 
 class TestBetaCoefficients:
