@@ -12,8 +12,6 @@ from .datagen import (
     FeatureVector,
     NormalizationStats,
     SamplerRanges,
-    apply_normalization,
-    denormalize_target,
     extract_features,
     fit_normalization,
     generate_dataset,

@@ -171,7 +171,6 @@ def cmd_train(args) -> int:
         val_set.features,
         val_set.t_star,
         config,
-        datagen.fit_normalization(train_set),
         metadata=metadata,
         on_epoch=lambda e, tr, vl: _progress(f"epoch {e}: train {tr:.6f} val {vl:.6f}"),
     )

@@ -2,9 +2,10 @@
 
 Samples random star-network configurations over a parameter box, labels each
 with the exact optimal makespan, summarizes it into a fixed 16-value feature
-vector, and handles stratified splitting plus z-score normalization. The
-line-delimited file format keeps the raw configuration next to each record
-so labels can always be replayed against the exact solver.
+vector, splits it stratified by system size, and fits the z-score
+statistics that ``mlp`` trains and predicts with. The line-delimited file
+format keeps the raw configuration next to each record so labels can always
+be replayed against the exact solver.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codec
-from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, StratificationError
+from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, NumericError, StratificationError
 from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_time_rates
 
 DATASET_FORMAT = "dltsched-dataset"
@@ -195,15 +196,19 @@ def extract_features(config: SltnConfig) -> FeatureVector:
     Plain Python over the config's tuples: at most a few dozen floats, where
     numpy's per-call overhead would cost more than the arithmetic. Sums use
     ``math.fsum``, so means and standard deviations are correctly rounded
-    sums divided by ``n``.
+    sums divided by ``n``. A sum or square beyond the double range (two
+    1e308-GFLOPS children) raises :class:`NumericError`.
     """
     speeds = config.child_speeds
     bws = config.link_bandwidths
     n = len(speeds)
-    mean_w = math.fsum(speeds) / n
-    std_w = math.sqrt(math.fsum([(v - mean_w) ** 2 for v in speeds]) / n)
-    mean_z = math.fsum(bws) / n
-    std_z = math.sqrt(math.fsum([(v - mean_z) ** 2 for v in bws]) / n)
+    try:
+        mean_w = math.fsum(speeds) / n
+        std_w = math.sqrt(math.fsum([(v - mean_w) ** 2 for v in speeds]) / n)
+        mean_z = math.fsum(bws) / n
+        std_z = math.sqrt(math.fsum([(v - mean_z) ** 2 for v in bws]) / n)
+    except OverflowError as exc:
+        raise NumericError(f"system is outside the surrogate's range: its features overflow ({exc})") from exc
     min_w, max_w = float(min(speeds)), float(max(speeds))
     min_z, max_z = float(min(bws)), float(max(bws))
     return FeatureVector(
@@ -285,11 +290,12 @@ def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Datase
     return tuple(dataset.take(np.concatenate(part)) for part in parts)
 
 
-def fit_normalization(train: Dataset) -> NormalizationStats:
-    """Fit z-score statistics on the training records only."""
-    if not len(train):
-        raise InvalidInputError("cannot fit normalization on an empty set")
-    x, y = train.features, train.t_star
+def fit_normalization(features, t_star) -> NormalizationStats:
+    """Fit z-score statistics on training feature rows, shape (count, 16),
+    and their makespans."""
+    x, y = np.asarray(features, dtype=float), np.asarray(t_star, dtype=float)
+    if y.ndim != 1 or not len(y) or x.shape != (len(y), N_FEATURES):
+        raise InvalidInputError(f"need a nonempty set of {N_FEATURES}-feature rows, one per makespan; got {x.shape}, {y.shape}")
     stds = x.std(axis=0)
     for name, s in zip(FEATURE_NAMES, stds):
         if s <= 0:
@@ -302,20 +308,6 @@ def fit_normalization(train: Dataset) -> NormalizationStats:
         target_mean=float(y.mean()),
         target_std=float(y.std()),
     )
-
-
-def apply_normalization(stats: NormalizationStats, features, target=None):
-    """Z-score features (array of shape (..., 16)); also the target when
-    given. Inverse of :func:`denormalize_target` on the target."""
-    x = (np.asarray(features, dtype=float) - stats.mean_array) / stats.std_array
-    if target is None:
-        return x
-    y = (np.asarray(target, dtype=float) - stats.target_mean) / stats.target_std
-    return x, y
-
-
-def denormalize_target(stats: NormalizationStats, y_norm):
-    return np.asarray(y_norm, dtype=float) * stats.target_std + stats.target_mean
 
 
 def _record_from_json(obj: dict) -> tuple[SltnConfig, list, float]:

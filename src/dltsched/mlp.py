@@ -1,17 +1,17 @@
 """From-scratch feedforward regressor for makespan prediction.
 
 A 16-128-64-32-1 ReLU network trained with explicit backpropagation, Adam,
-mini-batches, and early stopping on validation MSE. A deployable
-surrogate's weights are float32 from training through the bundle to
+mini-batches, and early stopping on validation MSE. This module holds the
+surrogate's whole map from features to seconds: the z-score ``train`` fits
+and the bundle carries, the network, the inverse z-score and the compute
+lower bound, on arrays in ``predict_features`` and on one row in
+``predict``. Weights are float32 from training through the bundle to
 inference: ``train`` rounds its initial weights and z-scored rows to
-float32 and returns float32 weights, ``save_model`` refuses any other
-precision and ``load_model`` returns float32. ``forward``, ``backward`` and
-``adam_step`` compute in the precision of the weights they are given, so
-hand-built float64 weights still run in float64.
-Validation MSE, denormalization and the compute bound stay float64.
-Training is bit-deterministic given the seed. The bundle packs the weights
-together with the normalization statistics so inference needs no external
-state.
+float32, ``save_model`` refuses any other precision and ``load_model``
+returns float32. ``forward``, ``backward`` and ``adam_step`` compute in the
+precision of the weights they are given. Validation MSE, the inverse
+z-score and the compute bound stay float64. Training is bit-deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .datagen import (
-    FEATURE_NAMES,
-    NormalizationStats,
-    apply_normalization,
-    denormalize_target,
-    extract_features,
-)
+from .datagen import FEATURE_NAMES, NormalizationStats, extract_features, fit_normalization
 from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, NumericError, TrainingDivergedError
 from .solver import SltnConfig
 
@@ -292,38 +286,53 @@ def adam_step(
     return params, state
 
 
+def _z_features(norm: NormalizationStats, rows) -> np.ndarray:
+    """Feature rows, shape (..., 16), z-scored with ``norm``."""
+    return (np.asarray(rows, dtype=float) - norm.mean_array) / norm.std_array
+
+
+def _z_target(norm: NormalizationStats, t_star) -> np.ndarray:
+    """Makespans z-scored with ``norm``; :func:`_unz_target` inverts it."""
+    return (np.asarray(t_star, dtype=float) - norm.target_mean) / norm.target_std
+
+
+def _unz_target(norm: NormalizationStats, y) -> np.ndarray:
+    return np.asarray(y, dtype=float) * norm.target_std + norm.target_mean
+
+
 def train(
     x_train: np.ndarray,
     y_train: np.ndarray,
     x_val: np.ndarray,
     y_val: np.ndarray,
     config: TrainConfig,
-    norm: NormalizationStats,
     metadata: dict,
     on_epoch=None,
 ) -> tuple[MlpModel, TrainReport]:
     """Train on raw feature rows and makespans; returns the bundle from the
     best-validation epoch.
 
-    Rows and targets are z-scored with ``norm`` and rounded to float32, like
-    the initial weights, so the returned weights are float32. The reported
-    losses are MSE in the z-scored space; validation MSE is taken in float64
-    against the unrounded targets. ``config.seed`` spawns two streams: one
-    draws the initial weights, the other shuffles the rows each epoch. Uses
-    the final partial batch, evaluates validation MSE after every epoch, and
-    stops once validation loss has not improved for ``config.patience``
-    epochs. ``on_epoch`` is an optional progress callback taking (epoch,
-    train_loss, val_loss). ``metadata`` must hold the labels'
-    ``compute_intensity``, which bounds every answer of
-    :func:`predict_features`.
+    The z-score statistics are fitted on the training rows and makespans
+    alone (``datagen.fit_normalization``) and go into the bundle. Rows and
+    targets are z-scored with them and rounded to float32, like the initial
+    weights, so the returned weights are float32. The reported losses are
+    MSE in the z-scored space; validation MSE is taken in float64 against
+    the unrounded targets. ``config.seed`` spawns two streams: one draws the
+    initial weights, the other shuffles the rows each epoch. Uses the final
+    partial batch, evaluates validation MSE after every epoch, and stops
+    once validation loss has not improved for ``config.patience`` epochs.
+    ``on_epoch`` is an optional progress callback taking (epoch, train_loss,
+    val_loss). ``metadata`` must hold the labels' ``compute_intensity``,
+    which bounds every answer of :func:`predict_features`.
     """
     if "compute_intensity" not in metadata:
         raise InvalidInputError("metadata must record the labels' compute_intensity")
-    x_train, y_train = apply_normalization(norm, x_train, y_train)
-    x_val, y_val = apply_normalization(norm, x_val, y_val)
+    norm = fit_normalization(x_train, y_train)
+    x_train, y_train = _z_features(norm, x_train), _z_target(norm, y_train)
+    x_val, y_val = _z_features(norm, x_val), _z_target(norm, y_val)
     x_train, y_train, x_val = (a.astype(np.float32) for a in (x_train, y_train, x_val))
-    if x_train.shape[0] == 0 or x_val.shape[0] == 0:
-        raise InvalidInputError("training and validation sets must be nonempty")
+    if x_val.shape[0] == 0:
+        raise InvalidInputError("the validation set must be nonempty")
 
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     params = init_params(init_ss).astype(np.float32)
@@ -391,9 +400,9 @@ def predict_features(model: MlpModel, features) -> np.ndarray:
     The bound keeps the unclamped linear head from answering <= 0 s.
     """
     rows = np.atleast_2d(np.asarray(features, dtype=float))
-    y, _ = forward(model.params, apply_normalization(model.norm, rows))
+    y, _ = forward(model.params, _z_features(model.norm, rows))
     bound = model.compute_intensity * rows[:, _LOAD_GB] / (rows[:, _W0] + rows[:, _N] * rows[:, _MEAN_W])
-    return np.maximum(denormalize_target(model.norm, y), bound)
+    return np.maximum(_unz_target(model.norm, y), bound)
 
 
 def predict(model: MlpModel, config: SltnConfig) -> float:
@@ -408,10 +417,7 @@ def predict(model: MlpModel, config: SltnConfig) -> float:
     in numpy, on a 1-D row.
     """
     norm = model.norm
-    try:
-        f = extract_features(config)
-    except OverflowError as exc:
-        raise NumericError(f"system is outside the surrogate's range: {exc}") from exc
+    f = extract_features(config)
     row = [(v - m) / s for v, m, s in zip(f, norm.feature_means, norm.feature_stds)]
     if not all(-_FLOAT32_OVERFLOW < v < _FLOAT32_OVERFLOW for v in row):
         raise NumericError("a z-scored feature is beyond float32's range; the system is outside the surrogate's range")

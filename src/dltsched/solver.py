@@ -249,13 +249,18 @@ def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
 def simulate_timeline(rates: TimeRates, alpha, load_gb: float) -> TimingProfile:
     """Replay any feasible allocation and report per-processor finish times.
 
-    ``alpha`` is the n+1 load fractions (root first); it must sum to 1 but
-    need not be optimal. Children receive their shares sequentially, so
-    child i starts computing once transfers 1..i are done.
+    ``alpha`` is the n+1 load fractions (root first); each must be
+    non-negative and finite and they must sum to 1, but they need not be
+    optimal. Children receive their shares sequentially, so child i starts
+    computing once transfers 1..i are done.
     """
+    if not 0.0 < load_gb < math.inf:
+        raise InvalidInputError(f"load must be positive and finite, got {load_gb}")
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (rates.n + 1,):
         raise InvalidInputError(f"expected {rates.n + 1} load fractions, got shape {alpha.shape}")
+    if not ((0.0 <= alpha) & (alpha < math.inf)).all():
+        raise InvalidInputError(f"every load fraction must be non-negative and finite, got {alpha.tolist()}")
     if abs(float(alpha.sum()) - 1.0) > 1e-9:
         raise InvalidInputError(f"load fractions sum to {float(alpha.sum())!r}, expected 1")
     z = np.asarray(rates.z)

@@ -43,14 +43,12 @@ def desk_run():
     started = time.perf_counter()
     dataset = datagen.generate_dataset(DESK_COUNT, DESK_SEED, compute_intensity=DESK_INTENSITY)
     train, val, test = datagen.split_dataset(dataset, DESK_SEED)
-    norm = datagen.fit_normalization(train)
     model, report = mlp.train(
         train.features,
         train.t_star,
         val.features,
         val.t_star,
         desk_train_config(),
-        norm,
         metadata={"train_seed": DESK_SEED, "split_seed": DESK_SEED, "compute_intensity": DESK_INTENSITY},
     )
     elapsed = time.perf_counter() - started
@@ -59,7 +57,6 @@ def desk_run():
         "train": train,
         "val": val,
         "test": test,
-        "norm": norm,
         "model": model,
         "report": report,
         "pipeline_seconds": elapsed,

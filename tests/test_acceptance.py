@@ -148,7 +148,6 @@ class TestLearningCriteria:
                 desk_run["val"].features,
                 desk_run["val"].t_star,
                 desk_train_config(backup_seed),
-                desk_run["norm"],
                 metadata={"compute_intensity": DESK_INTENSITY},
             )
             stopped.append(rep.stopped_early)
@@ -252,7 +251,6 @@ class TestDeterminismCriterion:
                 val.features,
                 val.t_star,
                 mlp.TrainConfig(seed=3, max_epochs=4),
-                datagen.fit_normalization(train),
                 metadata={"train_seed": 3, "split_seed": 3, "compute_intensity": DESK_INTENSITY},
             )
             mlp.save_model(d / "model.json", model)

@@ -697,15 +697,17 @@ def test_bad_value_is_usage_error(capsys, tmp_path, tiny_pipeline, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100"],
-        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100"],
-        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100"],
-        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "5", "--child", "1e308:100", "--child", "1e308:100"],
+        ["solve", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--format", "machine"],
+        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--format", "machine"],
+        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--format", "machine"],
+        ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "5", "--child", "1e308:100", "--child", "1e308:100",
+         "--format", "machine"],
+        ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--bandwidth-range", "1e308", "1.7e308"],
     ],
-    ids=["solve-huge-load", "predict-huge-load", "hybrid-huge-load", "predict-huge-speeds"],
+    ids=["solve-huge-load", "predict-huge-load", "hybrid-huge-load", "predict-huge-speeds", "generate-overflowing-features"],
 )
-def test_answer_outside_double_range_is_numeric_error(capsys, tiny_pipeline, argv):
-    code, out, err = run(capsys, *(arg.format(model=tiny_pipeline["model"]) for arg in argv), "--format", "machine")
+def test_answer_outside_double_range_is_numeric_error(capsys, tmp_path, tiny_pipeline, argv):
+    code, out, err = run(capsys, *(arg.format(model=tiny_pipeline["model"], out=tmp_path / "out") for arg in argv))
     assert (code, out) == (4, "")
     assert err.splitlines()[-1].startswith("error: ")
 

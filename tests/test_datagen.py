@@ -11,8 +11,6 @@ from dltsched.datagen import (
     Dataset,
     DatasetHeader,
     SamplerRanges,
-    apply_normalization,
-    denormalize_target,
     extract_features,
     fit_normalization,
     generate_dataset,
@@ -251,49 +249,34 @@ class TestSplitDataset:
 
 
 class TestNormalization:
-    def test_train_columns_become_standard(self):
+    def test_fits_column_means_and_population_stds(self):
         dataset = generate_dataset(300, seed=8)
-        stats = fit_normalization(dataset)
-        x, y = apply_normalization(stats, dataset.features, dataset.t_star)
-        np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(x.std(axis=0), 1.0, atol=1e-9)
-        assert abs(y.mean()) <= 1e-9 and abs(y.std() - 1.0) <= 1e-9
+        stats = fit_normalization(dataset.features, dataset.t_star)
+        assert stats.feature_means == tuple(dataset.features.mean(axis=0).tolist())
+        assert stats.feature_stds == tuple(dataset.features.std(axis=0).tolist())
+        assert (stats.target_mean, stats.target_std) == (dataset.t_star.mean(), dataset.t_star.std())
 
-    def test_held_out_mean_not_centered(self):
-        dataset = generate_dataset(400, seed=12)
-        stats = fit_normalization(dataset.take(range(200)))
-        x = apply_normalization(stats, dataset.features[200:])
-        assert np.any(np.abs(x.mean(axis=0)) > 1e-6)
+    @pytest.mark.parametrize(
+        "shape, count",
+        [((3, 16), 2), ((3, 15), 3), ((3,), 3), ((0, 16), 0), ((1, 16), ())],
+        ids=["fewer-makespans", "narrow-rows", "one-dimensional", "empty", "scalar-makespan"],
+    )
+    def test_rejects_rows_that_are_not_one_per_makespan(self, shape, count):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError, match="one per makespan"):
+            fit_normalization(rng.random(shape), rng.random(count))
 
     def test_population_std_convention(self):
         cfg_a = make_config(2, [2.0, 4.0], [10.0, 20.0], root=5.0, load=10.0)
         cfg_b = make_config(3, [1.0, 3.0, 9.0], [30.0, 60.0, 90.0], root=7.0, load=20.0)
-        stats = fit_normalization(dataset_of([cfg_a, cfg_b], [1.0, 3.0]))
+        dataset = dataset_of([cfg_a, cfg_b], [1.0, 3.0])
+        stats = fit_normalization(dataset.features, dataset.t_star)
         assert stats.target_mean == 2.0
         assert stats.target_std == 1.0
 
-    def test_round_trip(self):
-        dataset = generate_dataset(100, seed=5)
-        stats = fit_normalization(dataset)
-        y = dataset.t_star
-        x = dataset.features
-        x_n, y_n = apply_normalization(stats, x, y)
-        np.testing.assert_allclose(denormalize_target(stats, y_n), y, rtol=1e-12)
-        back = x_n * np.array(stats.feature_stds) + np.array(stats.feature_means)
-        np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
-
-    def test_mean_maps_to_zero_and_one_std_to_one(self):
-        dataset = generate_dataset(60, seed=6)
-        stats = fit_normalization(dataset)
-        at_mean = apply_normalization(stats, np.array(stats.feature_means))
-        np.testing.assert_allclose(at_mean, 0.0, atol=1e-12)
-        one_up = apply_normalization(
-            stats, np.array(stats.feature_means) + np.array(stats.feature_stds)
-        )
-        np.testing.assert_allclose(one_up, 1.0, rtol=1e-12)
-
     def test_stats_arrays_are_cached_and_read_only(self):
-        stats = fit_normalization(generate_dataset(60, seed=6))
+        dataset = generate_dataset(60, seed=6)
+        stats = fit_normalization(dataset.features, dataset.t_star)
         assert stats.mean_array is stats.mean_array and stats.std_array is stats.std_array
         assert tuple(stats.mean_array) == stats.feature_means
         assert tuple(stats.std_array) == stats.feature_stds
@@ -307,7 +290,7 @@ class TestNormalization:
     def test_constant_feature_rejected(self):
         cfg = make_config(3, [2.0, 4.0, 6.0], [10.0, 20.0, 30.0])
         with pytest.raises(ConstantFeatureError):
-            fit_normalization(dataset_of([cfg] * 5, [float(i + 1) for i in range(5)]))
+            fit_normalization([extract_features(cfg)] * 5, [float(i + 1) for i in range(5)])
 
 
 # The header's "ranges" for the default SamplerRanges.
@@ -533,3 +516,64 @@ class TestDatasetFiles:
     def test_names_the_bad_line(self, tmp_path, edit, message):
         with pytest.raises(FileFormatError, match=f":4: {message}"):
             load_dataset(self.edit_record(tmp_path, edit))
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "data.jsonl"
+    save_dataset(path, generate_dataset(6, seed=4), DatasetHeader(seed=4, ranges=SamplerRanges(), compute_intensity=100.0))
+    return path.read_bytes()
+
+
+# Bytes that carry a value across a file rule: digits, sign, point and
+# exponent, JSON punctuation, a space, a newline, NUL and a byte that is not
+# UTF-8; any other byte is drawn too.
+_FUZZ_BYTES = st.one_of(st.sampled_from(b'09-.eE"{}[],: \n\x00\xff'), st.integers(0, 255))
+_BYTE_EDITS = ("set", "insert", "delete")
+_LINE_EDITS = ("drop", "repeat", "swap", "cut")
+# One to three edits: a byte set, inserted or deleted at any offset, or a
+# line dropped, repeated, swapped with another or cut short. Offsets wrap.
+dataset_edits = st.lists(
+    st.tuples(st.sampled_from(_BYTE_EDITS + _LINE_EDITS), st.integers(0, 2**16), st.integers(0, 2**16), _FUZZ_BYTES),
+    min_size=1,
+    max_size=3,
+)
+
+
+def apply_edits(data: bytes, edits) -> bytes:
+    for kind, i, j, byte in edits:
+        if not data:
+            break
+        k = i % len(data)
+        if kind == "set":
+            data = data[:k] + bytes([byte]) + data[k + 1 :]
+        elif kind == "insert":
+            data = data[:k] + bytes([byte]) + data[k:]
+        elif kind == "delete":
+            data = data[:k] + data[k + 1 :]
+        else:
+            lines = data.split(b"\n")
+            a, b = i % len(lines), j % len(lines)
+            if kind == "drop":
+                del lines[a]
+            elif kind == "repeat":
+                lines.insert(a, lines[a])
+            elif kind == "swap":
+                lines[a], lines[b] = lines[b], lines[a]
+            else:
+                lines[a] = lines[a][: j % (len(lines[a]) + 1)]
+            data = b"\n".join(lines)
+    return data
+
+
+class TestDatasetFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edits=dataset_edits)
+    def test_edited_file_loads_or_is_refused_with_a_typed_error(self, tmp_path_factory, saved_dataset, edits):
+        # Any exception but these two fails the test: a traceback, not exit 2/3.
+        path = tmp_path_factory.getbasetemp() / "fuzzed-data.jsonl"
+        path.write_bytes(apply_edits(saved_dataset, edits))
+        try:
+            load_dataset(path)
+        except (FileFormatError, InvalidInputError):
+            pass

@@ -42,6 +42,12 @@ def zero_params(layer_dims):
     return p
 
 
+def z_score(norm, rows, t_star):
+    """Feature rows and makespans z-scored with ``norm``, spelled out."""
+    rows = (rows - np.array(norm.feature_means)) / np.array(norm.feature_stds)
+    return rows, (t_star - norm.target_mean) / norm.target_std
+
+
 def random_batch(rng, count, dim=16):
     return rng.normal(size=(count, dim)), rng.normal(size=count)
 
@@ -359,8 +365,8 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets()
         cfg = TrainConfig(max_epochs=4, patience=10, seed=5, batch_size=32)
-        m1, r1 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
-        m2, r2 = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        m1, r1 = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
+        m2, r2 = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
         assert (r1.best_epoch, r1.epochs_run) == (r2.best_epoch, r2.epochs_run)
@@ -370,26 +376,27 @@ class TestTrain:
     def test_returns_float32_weights_byte_identical_across_runs(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=2)
         cfg = TrainConfig(max_epochs=5, seed=3, batch_size=32)
-        m1, _ = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
-        m2, _ = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        m1, _ = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
+        m2, _ = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
         assert m1.params.flat.dtype == np.float32
         assert m1.params.flat.tobytes() == m2.params.flat.tobytes()
 
     def test_returns_best_epoch_params(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=3)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=12, patience=3, seed=1, batch_size=32)
-        model, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        model, report = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
         # The best epoch is not the last, so the weights must come from earlier.
         assert report.best_epoch < report.epochs_run
         assert report.best_val_loss == min(report.val_losses)
         assert report.val_losses[report.best_epoch - 1] == report.best_val_loss
-        preds, _ = forward(model.params, x_val)
-        assert loss_mse(preds, y_val) == pytest.approx(report.best_val_loss, rel=1e-12)
+        x_z, y_z = z_score(model.norm, x_val, y_val)
+        preds, _ = forward(model.params, x_z)
+        assert loss_mse(preds, y_z) == pytest.approx(report.best_val_loss, rel=1e-12)
 
     def test_patience_one_stops_at_first_rise(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=9, count=128)
         cfg = TrainConfig(max_epochs=50, patience=1, seed=2, batch_size=16)
-        _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        _, report = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
         assert report.stopped_early
         # Every epoch before the stop improved; the stopping epoch did not.
         assert report.best_epoch == report.epochs_run - 1
@@ -400,7 +407,7 @@ class TestTrain:
     def test_epoch_cap(self):
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=4, count=64)
         cfg = TrainConfig(max_epochs=3, patience=50, seed=0, batch_size=16)
-        _, report = train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+        _, report = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
         assert report.epochs_run == 3
         assert not report.stopped_early
 
@@ -411,50 +418,27 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e80, max_epochs=40, patience=40, seed=0, batch_size=16)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as exc:
-                train(x_tr, y_tr, x_val, y_val, cfg, IDENTITY_NORM, metadata=TOY_META)
+                train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
         assert exc.value.epoch >= 1
 
-    def test_raw_rows_match_hand_normalized_rows(self):
-        # train z-scores its raw inputs with norm; doing that by hand and
-        # training under the identity norm must give the same bits.
+    def test_reported_losses_use_the_returned_norm(self):
+        # train fits its z-score on the training rows alone; the validation
+        # loss it reports is the MSE of the returned weights on the
+        # validation rows z-scored with the returned statistics, to the bit.
         x_tr, y_tr, x_val, y_val = self.toy_sets(seed=7)
         x_tr, x_val = x_tr * 40.0 + 3.0, x_val * 40.0 + 3.0
         y_tr, y_val = y_tr * 900.0 + 2500.0, y_val * 900.0 + 2500.0
-        norm = datagen.NormalizationStats(
-            feature_means=tuple(x_tr.mean(axis=0)),
-            feature_stds=tuple(x_tr.std(axis=0)),
-            target_mean=float(y_tr.mean()),
-            target_std=float(y_tr.std()),
-        )
-        means, stds = np.array(norm.feature_means), np.array(norm.feature_stds)
         cfg = TrainConfig(max_epochs=3, seed=4, batch_size=32)
-        raw_model, raw_report = train(x_tr, y_tr, x_val, y_val, cfg, norm, metadata=TOY_META)
-        hand_model, hand_report = train(
-            (x_tr - means) / stds,
-            (y_tr - norm.target_mean) / norm.target_std,
-            (x_val - means) / stds,
-            (y_val - norm.target_mean) / norm.target_std,
-            cfg,
-            IDENTITY_NORM,
-            metadata=TOY_META,
-        )
-        assert raw_model.norm == norm
-        assert raw_report.train_losses == hand_report.train_losses
-        assert raw_report.val_losses == hand_report.val_losses
-        for a, b in zip(
-            [*raw_model.params.weights, *raw_model.params.biases],
-            [*hand_model.params.weights, *hand_model.params.biases],
-        ):
-            np.testing.assert_array_equal(a, b)
+        model, report = train(x_tr, y_tr, x_val, y_val, cfg, metadata=TOY_META)
+        assert model.norm == datagen.fit_normalization(x_tr, y_tr)
+        x_z, y_z = z_score(model.norm, x_val, y_val)
+        preds, _ = forward(model.params, x_z)
+        assert loss_mse(preds, y_z) == report.best_val_loss
 
     def test_caller_arrays_unchanged(self):
         sets = self.toy_sets(seed=8, count=64)
         before = [a.copy() for a in sets]
-        norm = datagen.NormalizationStats(
-            feature_means=(0.5,) * 16, feature_stds=(2.0,) * 16, target_mean=0.1, target_std=3.0
-        )
-        train(*sets, TrainConfig(max_epochs=2, batch_size=16), norm, metadata=TOY_META)
-        train(*sets, TrainConfig(max_epochs=2, batch_size=16), IDENTITY_NORM, metadata=TOY_META)
+        train(*sets, TrainConfig(max_epochs=2, batch_size=16), metadata=TOY_META)
         for a, b in zip(sets, before):
             np.testing.assert_array_equal(a, b)
 
@@ -463,17 +447,21 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="seed"):
             TrainConfig(seed=seed)
 
-    def test_rejects_empty_sets(self):
-        with pytest.raises(InvalidInputError):
-            train(
-                np.zeros((0, 16)), np.zeros(0), np.zeros((1, 16)), np.zeros(1), TrainConfig(), IDENTITY_NORM, TOY_META
-            )
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_rejects_empty_sets(self, empty):
+        x_tr, y_tr, x_val, y_val = self.toy_sets(count=16)
+        if empty == "train":
+            x_tr, y_tr = x_tr[:0], y_tr[:0]
+        else:
+            x_val, y_val = x_val[:0], y_val[:0]
+        with pytest.raises(InvalidInputError, match="empty"):
+            train(x_tr, y_tr, x_val, y_val, TrainConfig(), TOY_META)
 
     def test_rejects_metadata_without_compute_intensity(self):
         # The intensity bounds every answer; a guessed one would move them.
         x_tr, y_tr, x_val, y_val = self.toy_sets(count=16)
         with pytest.raises(InvalidInputError, match="compute_intensity"):
-            train(x_tr, y_tr, x_val, y_val, TrainConfig(max_epochs=1), IDENTITY_NORM, metadata={"train_seed": 0})
+            train(x_tr, y_tr, x_val, y_val, TrainConfig(max_epochs=1), metadata={"train_seed": 0})
 
 
 class TestModelBundle:
@@ -481,7 +469,7 @@ class TestModelBundle:
     def small_model():
         """A bundlable model: float32 weights, as ``train`` returns them."""
         records = datagen.generate_dataset(120, seed=21)
-        norm = datagen.fit_normalization(records)
+        norm = datagen.fit_normalization(records.features, records.t_star)
         params = init_params(8).astype(np.float32)
         return MlpModel(params=params, norm=norm, metadata={"train_seed": 8, "compute_intensity": 100.0})
 
@@ -681,6 +669,21 @@ class TestPredict:
         )
         with pytest.raises(NumericError, match="makespan inf is not finite"):
             predict(model, config)
+
+    def test_z_score_and_its_inverse_frame_the_network(self):
+        # A network that passes the load's z-score through to its output:
+        # the training mean of every feature answers the target mean, and
+        # each training std above it one target std more.
+        params = zero_params(DEFAULT_LAYER_DIMS)
+        params.weights[0][0, datagen.FEATURE_NAMES.index("load_gb")] = 1.0
+        for w in params.weights[1:]:
+            w[0, 0] = 1.0
+        norm = TestModelBundle.small_model().norm
+        model = MlpModel(params=params, norm=norm, metadata={"compute_intensity": 1e-9})
+        rows = np.array(norm.feature_means) + np.multiply.outer([0.0, 1.0, 2.0], norm.feature_stds)
+        answers = predict_features(model, rows)
+        assert answers[0] == norm.target_mean
+        np.testing.assert_allclose(answers[1:], norm.target_mean + np.array([1.0, 2.0]) * norm.target_std, rtol=1e-12)
 
     def test_predict_agrees_with_predict_features(self):
         # On float64 weights a one-row pass and a batched one agree to 1e-12.

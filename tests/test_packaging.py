@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -11,6 +13,8 @@ tomllib = pytest.importorskip("tomllib")
 
 PACKAGE = Path(dltsched.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+README = PACKAGE.parents[1] / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.MULTILINE | re.DOTALL)
 
 
 def absolute_imports(source: Path) -> set[str]:
@@ -69,3 +73,56 @@ def test_evaluation_imports_no_mlp():
 def test_the_command_line_imports_no_numpy():
     # Numeric decisions belong to the library modules a caller imports too.
     assert "numpy" not in absolute_imports(PACKAGE / "cli.py")
+
+
+def package_names(tree: ast.Module) -> dict[str, object]:
+    """What each name a code block imports from the package refers to."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "dltsched":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "dltsched":  # binds the package, or the module "as" a name
+                    names[alias.asname or "dltsched"] = importlib.import_module(alias.name if alias.asname else "dltsched")
+    return names
+
+
+def package_object(node: ast.expr, names: dict[str, object]):
+    """The package object a name or an attribute chain refers to, or None
+    for anything else."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = package_object(node.value, names)
+        if inspect.ismodule(owner):
+            assert hasattr(owner, node.attr), f"{owner.__name__} has no {node.attr}"
+            return getattr(owner, node.attr)
+    return None
+
+
+@pytest.mark.parametrize("source", README_BLOCKS, ids=[f"block-{i}" for i in range(1, len(README_BLOCKS) + 1)])
+def test_readme_python_block_matches_the_package(source):
+    # Each example compiles, imports only names the package has, and calls
+    # every package function with arguments its current signature accepts.
+    compile(source, "README.md", "exec")
+    tree = ast.parse(source)
+    names = package_names(tree)
+    bound = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = package_object(node.func, names)
+        if not callable(fn) or not getattr(fn, "__module__", "").startswith("dltsched."):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        assert None not in keywords and not any(isinstance(a, ast.Starred) for a in node.args)
+        try:
+            inspect.signature(fn).bind(*node.args, **keywords)
+        except TypeError as exc:
+            pytest.fail(f"README.md: {ast.unparse(node)}: {exc}")
+        bound += 1
+    assert names and bound

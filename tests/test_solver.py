@@ -270,6 +270,23 @@ class TestSimulateTimeline:
         with pytest.raises(InvalidInputError):
             simulate_timeline(rates, [0.5, 0.5], 1.0)
 
+    @pytest.mark.parametrize(
+        "alpha, load_gb",
+        [
+            ([math.nan, 0.5], 1.0),
+            ([1.5, -0.5], 1.0),
+            ([math.inf, 0.0], 1.0),
+            ([0.5, 0.5], 0.0),
+            ([0.5, 0.5], -2.0),
+            ([0.5, 0.5], math.nan),
+            ([0.5, 0.5], math.inf),
+        ],
+        ids=["nan-fraction", "negative-fraction", "infinite-fraction", "zero-load", "negative-load", "nan-load", "infinite-load"],
+    )
+    def test_rejects_impossible_fractions_and_loads(self, alpha, load_gb):
+        with pytest.raises(InvalidInputError, match="fraction|load"):
+            simulate_timeline(TimeRates(w0=1.0, w=(1.0,), z=(0.5,)), alpha, load_gb)
+
 
 class TestOracleSolve:
     def test_symmetric_free_link(self):
