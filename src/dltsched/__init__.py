@@ -1,8 +1,11 @@
 """Divisible-load scheduling on star networks, exactly and by neural surrogate.
 
-The solver computes optimal load splits and makespans in closed form; the
-surrogate predicts the makespan from 16 summary features in well under a
-millisecond, with a hybrid mode that verifies large predictions exactly.
+The solver computes, in closed form, the load split at which every
+processor finishes at the same instant with the children served in the
+given order, and its makespan; that split is not optimal in general (see
+``solver.solve_optimal``). The surrogate predicts that makespan from 16
+summary features in well under a millisecond, with a hybrid mode that
+verifies large predictions exactly.
 """
 
 from .cli import HybridDecision, hybrid_predict

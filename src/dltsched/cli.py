@@ -9,7 +9,6 @@ data/file errors, 4 numeric or training failures.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -97,7 +96,7 @@ def _progress(message: str) -> None:
 
 
 def _print_json(**fields) -> None:
-    print(json.dumps(fields, separators=(",", ":")))
+    print(codec.dumps(fields).decode())
 
 
 def cmd_solve(args) -> int:
@@ -245,8 +244,7 @@ def cmd_hybrid(args) -> int:
         _print_json(
             t_star_s=decision.t_star,
             source=decision.source,
-            # A NaN estimate, verified above, prints as null: NaN is not JSON.
-            ml_estimate_s=decision.ml_estimate if math.isfinite(decision.ml_estimate) else None,
+            ml_estimate_s=decision.ml_estimate,  # a NaN estimate, verified above, is written as null
             threshold_s=decision.threshold,
         )
     else:
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="exact optimal allocation for one system")
+    p = sub.add_parser("solve", help="exact equal-finish allocation for one system")
     _add_system_flags(p)
     p.add_argument("--compute-intensity", type=float, default=solver.DEFAULT_COMPUTE_INTENSITY)
     p.add_argument("--format", choices=("human", "machine"), default="human")

@@ -1,11 +1,12 @@
 """Synthetic dataset generation for the makespan surrogate.
 
-Samples random star-network configurations over a parameter box, labels each
-with the exact optimal makespan, summarizes it into a fixed 16-value feature
-vector, splits it stratified by system size, and fits the z-score
-statistics that ``mlp`` trains and predicts with. The line-delimited file
-format keeps the raw configuration next to each record so labels can always
-be replayed against the exact solver.
+Samples random star-network configurations over a parameter box, labels
+each with the exact equal-finish makespan, summarizes it into a fixed
+16-value feature vector, splits it stratified by system size, and fits the
+z-score statistics that ``mlp`` trains and predicts with, scaling a column
+of one value by 1. The line-delimited file format keeps the raw
+configuration next to each record so labels can always be replayed
+against the exact solver.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import codec
-from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, NumericError, StratificationError
+from .errors import FileFormatError, InvalidInputError, NumericError, StratificationError
 from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_time_rates
 
 DATASET_FORMAT = "dltsched-dataset"
@@ -148,17 +148,7 @@ class NormalizationStats:
         if not all(map(math.isfinite, (*self.feature_means, self.target_mean))):
             raise InvalidInputError("every mean must be finite")
         if any(not 0 < s < math.inf for s in (*self.feature_stds, self.target_std)):
-            raise ConstantFeatureError("every standard deviation must be positive and finite")
-
-    @cached_property
-    def mean_array(self) -> np.ndarray:
-        """``feature_means`` as a read-only array, built once per instance."""
-        return _read_only(self.feature_means)
-
-    @cached_property
-    def std_array(self) -> np.ndarray:
-        """``feature_stds`` as a read-only array, built once per instance."""
-        return _read_only(self.feature_stds)
+            raise InvalidInputError("every standard deviation must be positive and finite")
 
 
 def _read_only(values) -> np.ndarray:
@@ -232,7 +222,7 @@ def extract_features(config: SltnConfig) -> FeatureVector:
 
 
 def make_record(config: SltnConfig, compute_intensity: float) -> tuple[FeatureVector, float]:
-    """Features and exact optimal makespan of one configuration."""
+    """Features and exact equal-finish makespan of one configuration."""
     alloc = solve_optimal(to_time_rates(config, compute_intensity), config.load_gb)
     return extract_features(config), alloc.t_star
 
@@ -290,23 +280,32 @@ def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Datase
     return tuple(dataset.take(np.concatenate(part)) for part in parts)
 
 
-def fit_normalization(features, t_star) -> NormalizationStats:
-    """Fit z-score statistics on training feature rows, shape (count, 16),
-    and their makespans."""
+def labeled_rows(features, t_star, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` and ``t_star`` as float64 arrays if they are a training or
+    validation set; otherwise :class:`InvalidInputError` naming ``what``."""
     x, y = np.asarray(features, dtype=float), np.asarray(t_star, dtype=float)
     if y.ndim != 1 or not len(y) or x.shape != (len(y), N_FEATURES):
-        raise InvalidInputError(f"need a nonempty set of {N_FEATURES}-feature rows, one per makespan; got {x.shape}, {y.shape}")
-    stds = x.std(axis=0)
-    for name, s in zip(FEATURE_NAMES, stds):
-        if s <= 0:
-            raise ConstantFeatureError(f"feature {name!r} is constant on the training set")
-    if y.std() <= 0:
-        raise ConstantFeatureError("target is constant on the training set")
+        raise InvalidInputError(f"{what}: need a nonempty set of {N_FEATURES}-feature rows, one per makespan; got {x.shape}, {y.shape}")
+    return x, y
+
+
+def _scale(values: np.ndarray) -> np.ndarray:
+    """Population std along axis 0, or 1 where the values are all equal (2.2
+    repeated has a std of 1e-13, its mean's rounding) or the std is 0."""
+    std = values.std(axis=0)
+    return np.where((values.min(axis=0) < values.max(axis=0)) & (std > 0), std, 1.0)
+
+
+def fit_normalization(features, t_star) -> NormalizationStats:
+    """Fit z-score statistics on training feature rows and their makespans.
+    A column or target of one value is scaled by 1, so it z-scores to 0; a
+    model fitted on it has never seen another value of that column."""
+    x, y = labeled_rows(features, t_star, "training set")
     return NormalizationStats(
         feature_means=tuple(float(m) for m in x.mean(axis=0)),
-        feature_stds=tuple(float(s) for s in stds),
+        feature_stds=tuple(float(s) for s in _scale(x)),
         target_mean=float(y.mean()),
-        target_std=float(y.std()),
+        target_std=float(_scale(y)),
     )
 
 

@@ -17,10 +17,6 @@ class StratificationError(DltschedError):
     """Dataset too small to split with per-stratum representation."""
 
 
-class ConstantFeatureError(DltschedError):
-    """A feature column has zero variance; z-scoring is undefined."""
-
-
 class TrainingDivergedError(DltschedError):
     """Training loss became non-finite."""
 

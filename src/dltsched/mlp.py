@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .datagen import FEATURE_NAMES, NormalizationStats, extract_features, fit_normalization
-from .errors import ConstantFeatureError, FileFormatError, InvalidInputError, NumericError, TrainingDivergedError
+from .datagen import FEATURE_NAMES, NormalizationStats, extract_features, fit_normalization, labeled_rows
+from .errors import FileFormatError, InvalidInputError, NumericError, TrainingDivergedError
 from .solver import SltnConfig
 
 MODEL_FORMAT = "dltsched-model"
@@ -288,7 +288,7 @@ def adam_step(
 
 def _z_features(norm: NormalizationStats, rows) -> np.ndarray:
     """Feature rows, shape (..., 16), z-scored with ``norm``."""
-    return (np.asarray(rows, dtype=float) - norm.mean_array) / norm.std_array
+    return (np.asarray(rows, dtype=float) - norm.feature_means) / norm.feature_stds
 
 
 def _z_target(norm: NormalizationStats, t_star) -> np.ndarray:
@@ -310,7 +310,8 @@ def train(
     on_epoch=None,
 ) -> tuple[MlpModel, TrainReport]:
     """Train on raw feature rows and makespans; returns the bundle from the
-    best-validation epoch.
+    best-validation epoch. Either set refused by ``datagen.labeled_rows``
+    raises :class:`InvalidInputError` before the first epoch.
 
     The z-score statistics are fitted on the training rows and makespans
     alone (``datagen.fit_normalization``) and go into the bundle. Rows and
@@ -328,11 +329,10 @@ def train(
     if "compute_intensity" not in metadata:
         raise InvalidInputError("metadata must record the labels' compute_intensity")
     norm = fit_normalization(x_train, y_train)
+    x_val, y_val = labeled_rows(x_val, y_val, "validation set")
     x_train, y_train = _z_features(norm, x_train), _z_target(norm, y_train)
     x_val, y_val = _z_features(norm, x_val), _z_target(norm, y_val)
     x_train, y_train, x_val = (a.astype(np.float32) for a in (x_train, y_train, x_val))
-    if x_val.shape[0] == 0:
-        raise InvalidInputError("the validation set must be nonempty")
 
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     params = init_params(init_ss).astype(np.float32)
@@ -406,7 +406,7 @@ def predict_features(model: MlpModel, features) -> np.ndarray:
 
 
 def predict(model: MlpModel, config: SltnConfig) -> float:
-    """Predicted optimal makespan in seconds for one configuration, always
+    """Predicted equal-finish makespan in seconds for one configuration, always
     finite. A system outside the surrogate's range raises
     :class:`NumericError`: one whose features overflow (speeds near 1e308),
     or one whose z-scored features leave float32's range (a 1e300 GB load).
@@ -511,7 +511,7 @@ def load_model(path) -> MlpModel:
             raise ValueError(f"compute_intensity must be positive, got {metadata['compute_intensity']!r}")
         if metadata.get("split_seed") is not None:
             codec.integer(metadata["split_seed"], "split_seed")
-    except (KeyError, TypeError, ValueError, OverflowError, ConstantFeatureError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
     params = MlpParams(weights, biases)
     # Checked before the cast, which would overflow to inf. The bound is where

@@ -12,9 +12,10 @@ while computing its own share. The model assumes:
   to the children in the order given;
 - no result return: a processor is done when it finishes computing.
 
-Among schedules where every child takes part in that order, the makespan
-is least when every processor finishes at the same instant, which reduces
-the problem to a chain of pairwise recursions with a closed-form solution.
+The solver computes the split at which every processor, with the children
+served in the given order, finishes at the same instant: a chain of pairwise
+recursions with a closed-form solution. That split is not optimal in
+general, even for the given order (see :func:`solve_optimal`).
 
 All rates here are in time form: seconds per GB of load, for both compute
 (w) and transmission (z). Index 0 always refers to the root.
@@ -104,7 +105,7 @@ class TimeRates:
 
 @dataclass(frozen=True)
 class LoadAllocation:
-    """Optimal load split: fractions per processor and the resulting makespan.
+    """Equal-finish load split: fractions per processor and the resulting makespan.
 
     ``alpha[0]`` is the root's share. ``t_star_norm`` is the makespan of a
     unit (1 GB) load in s/GB; ``t_star`` is the makespan of the full load in
@@ -198,7 +199,7 @@ def to_time_rates(config: SltnConfig, compute_intensity: float = DEFAULT_COMPUTE
 
 
 def beta_coefficients(rates: TimeRates) -> list[float]:
-    """Per-child ratios (z_i + w_i) / w_{i-1} linking consecutive optimal shares."""
+    """Per-child ratios (z_i + w_i) / w_{i-1} linking consecutive equal-finish shares."""
     w_prev = rates.w0
     betas = []
     for w_i, z_i in zip(rates.w, rates.z):
@@ -208,14 +209,17 @@ def beta_coefficients(rates: TimeRates) -> list[float]:
 
 
 def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
-    """Closed-form optimal load split and makespan for a star network.
+    """Closed-form equal-finish load split and makespan for a star network.
 
-    Optimal among schedules where every child takes part and the children
-    are served in the order given; another order, or leaving a child with a
-    slow link out, can finish sooner. At intensity 100, the README's system
-    (root 10, children 5:100, 8:40, 12:75, 25 GB) takes 154.93 s as given,
-    146.25 s with its children in ascending link time (5:100, 12:75, 8:40)
-    and 152.34 s with 8:40 left out.
+    The split at which the root and every child, served in the order given,
+    finish at the same instant. It is not optimal in general, even for that
+    order: another order, leaving out a child with a slow link, or giving
+    that child an almost empty share can finish sooner. At intensity 100,
+    the README's system (root 10, children 5:100, 8:40, 12:75, 25 GB) takes
+    154.93 s as given, 146.25 s with its children in ascending link time
+    (5:100, 12:75, 8:40) and 152.34 s with 8:40 left out. In the given
+    order, a share of 1e-6 for 8:40 and the two-child split of the rest
+    finish at 152.344 s.
 
     The share chain alpha_{i-1} w_{i-1} = alpha_i (z_i + w_i) plus load
     conservation gives alpha_i proportional to the beta suffix product
@@ -275,7 +279,8 @@ def simulate_timeline(rates: TimeRates, alpha, load_gb: float) -> TimingProfile:
 
 
 def oracle_solve(rates: TimeRates, load_gb: float) -> LoadAllocation:
-    """Optimal allocation via direct linear-system solution.
+    """The equal-finish allocation of :func:`solve_optimal`, by direct
+    linear-system solution; like it, not optimal in general.
 
     Independent check on the closed form: builds the n simultaneous-finish
     equalities plus load conservation as an (n+1)x(n+1) system and solves it

@@ -196,6 +196,21 @@ class TestTrainCommand:
         assert reads == [data]
         assert mlp.load_model(model).metadata["dataset_hash"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize(
+        "count, ranges, per_n_rows",
+        [("200", ["--n-range", "5", "5"], [["n=5", "20"]]), ("600", ["--speed-range", "4", "4"], None)],
+        ids=["one-n", "one-speed"],
+    )
+    def test_dataset_with_a_constant_column_trains_and_evaluates(self, capsys, tmp_path, count, ranges, per_n_rows):
+        data, model, plots = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "plots"
+        assert run(capsys, "generate", "--count", count, "--seed", "3", "--out", str(data), *ranges)[0] == 0
+        argv = ["train", "--data", str(data), "--out", str(model), "--max-epochs", "2", "--batch-size", "64"]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "evaluate", "--model", str(model), "--data", str(data), "--out", str(plots))[0] == 0
+        if per_n_rows is not None:
+            rows = (plots / "per_n_errors.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[:2] for row in rows] == per_n_rows  # bucket and count
+
     def test_model_is_loadable(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])
         assert model.params.param_count() == 12_545
@@ -432,6 +447,8 @@ class TestPredictCommand:
             (("weights", 2, 7, 4), "0.5", "JSON numbers"),
             (("biases", 1, 9), True, "JSON numbers"),
             (("norm", "target_std"), "324.0", "target_std"),
+            (("norm", "feature_stds", 0), 0.0, "standard deviation"),
+            (("norm", "target_std"), 0.0, "standard deviation"),
             (("metadata",), [["compute_intensity", 100.0], ["split_seed", 7]], "metadata must be a JSON object"),
         ],
         ids=[
@@ -453,6 +470,8 @@ class TestPredictCommand:
             "text-weight",
             "boolean-bias",
             "text-target-std",
+            "zero-feature-std",
+            "zero-target-std",
             "pair-list-metadata",
         ],
     )

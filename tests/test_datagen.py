@@ -19,7 +19,7 @@ from dltsched.datagen import (
     save_dataset,
     split_dataset,
 )
-from dltsched.errors import ConstantFeatureError, FileFormatError, InvalidInputError, StratificationError
+from dltsched.errors import FileFormatError, InvalidInputError, StratificationError
 from dltsched.solver import SltnConfig, oracle_solve, to_time_rates
 
 from conftest import dataset_of
@@ -274,23 +274,40 @@ class TestNormalization:
         assert stats.target_mean == 2.0
         assert stats.target_std == 1.0
 
-    def test_stats_arrays_are_cached_and_read_only(self):
+    def test_stats_compare_by_value(self):
         dataset = generate_dataset(60, seed=6)
         stats = fit_normalization(dataset.features, dataset.t_star)
-        assert stats.mean_array is stats.mean_array and stats.std_array is stats.std_array
-        assert tuple(stats.mean_array) == stats.feature_means
-        assert tuple(stats.std_array) == stats.feature_stds
-        for arr in (stats.mean_array, stats.std_array):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
         assert stats == datagen.NormalizationStats(
             stats.feature_means, stats.feature_stds, stats.target_mean, stats.target_std
         )
 
-    def test_constant_feature_rejected(self):
-        cfg = make_config(3, [2.0, 4.0, 6.0], [10.0, 20.0, 30.0])
-        with pytest.raises(ConstantFeatureError):
-            fit_normalization([extract_features(cfg)] * 5, [float(i + 1) for i in range(5)])
+    @pytest.mark.parametrize(
+        "ranges, constant",
+        [
+            (SamplerRanges(n_range=(5, 5)), ["n"]),
+            (SamplerRanges(speed_range=(4.0, 4.0)), ["mean_w", "std_w", "min_w", "max_w", "w0", "cv_w", "heterog_w"]),
+            # 2.2 repeated has a mean a few ulps off 2.2, and so a std of about
+            # 1e-13, not 0; the column is still constant.
+            (SamplerRanges(load_range=(2.2, 2.2)), ["load_gb"]),
+        ],
+        ids=["one-n", "one-speed", "one-inexact-load"],
+    )
+    def test_constant_column_scales_by_one(self, ranges, constant):
+        dataset = generate_dataset(120, seed=6, ranges=ranges)
+        stats = fit_normalization(dataset.features, dataset.t_star)
+        z = (dataset.features - stats.feature_means) / stats.feature_stds
+        population_stds = dataset.features.std(axis=0)
+        for name, std, population_std, column in zip(datagen.FEATURE_NAMES, stats.feature_stds, population_stds, z.T):
+            if name in constant:
+                assert std == 1.0
+                np.testing.assert_allclose(column, 0.0, rtol=0, atol=1e-12)
+            else:
+                assert std == population_std > 0
+
+    def test_constant_target_scales_by_one(self):
+        dataset = generate_dataset(20, seed=6)
+        stats = fit_normalization(dataset.features, np.full(20, 7.5))
+        assert (stats.target_mean, stats.target_std) == (7.5, 1.0)
 
 
 # The header's "ranges" for the default SamplerRanges.

@@ -447,15 +447,22 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="seed"):
             TrainConfig(seed=seed)
 
-    @pytest.mark.parametrize("empty", ["train", "val"])
-    def test_rejects_empty_sets(self, empty):
-        x_tr, y_tr, x_val, y_val = self.toy_sets(count=16)
-        if empty == "train":
-            x_tr, y_tr = x_tr[:0], y_tr[:0]
-        else:
-            x_val, y_val = x_val[:0], y_val[:0]
-        with pytest.raises(InvalidInputError, match="empty"):
-            train(x_tr, y_tr, x_val, y_val, TrainConfig(), TOY_META)
+    @pytest.mark.parametrize(
+        "edit, which",
+        [
+            (lambda x_tr, y_tr, x_val, y_val: (x_tr[:0], y_tr[:0], x_val, y_val), "training"),
+            (lambda x_tr, y_tr, x_val, y_val: (x_tr, y_tr, x_val[:0], y_val[:0]), "validation"),
+            (lambda x_tr, y_tr, x_val, y_val: (x_tr, y_tr, x_val[:, :15], y_val), "validation"),
+            (lambda x_tr, y_tr, x_val, y_val: (x_tr, y_tr, x_val, y_val[:-1]), "validation"),
+        ],
+        ids=["empty-train", "empty-val", "narrow-val-rows", "short-val-makespans"],
+    )
+    def test_rejects_sets_that_are_not_one_row_per_makespan(self, edit, which):
+        sets = edit(*self.toy_sets(count=16))
+        epochs = []
+        with pytest.raises(InvalidInputError, match=f"{which} set: .* one per makespan"):
+            train(*sets, TrainConfig(), TOY_META, on_epoch=lambda *args: epochs.append(args))
+        assert epochs == []
 
     def test_rejects_metadata_without_compute_intensity(self):
         # The intensity bounds every answer; a guessed one would move them.

@@ -75,6 +75,21 @@ def test_the_command_line_imports_no_numpy():
     assert "numpy" not in absolute_imports(PACKAGE / "cli.py")
 
 
+def test_every_error_type_is_raised():
+    # A type no code raises is dead: callers would catch it, and docs name
+    # it, for a failure that never comes. A base class is raised through
+    # its subclasses.
+    classes = [node for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = set()
+    for source in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert {node.name for node in classes} - bases - raised == set()
+
+
 def package_names(tree: ast.Module) -> dict[str, object]:
     """What each name a code block imports from the package refers to."""
     names = {}

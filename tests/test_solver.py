@@ -161,6 +161,27 @@ class TestSolveOptimal:
         assert a2.t_star == pytest.approx(7.0 * a1.t_star, rel=1e-12)
         np.testing.assert_array_equal(a1.alpha, a2.alpha)
 
+    def test_equal_finish_split_is_not_optimal_for_the_given_order(self):
+        # The README system: root 10, children 5:100, 8:40, 12:75, 25 GB at
+        # intensity 100. The split at which every child finishes together is
+        # beaten by another order, by dropping 8:40, and, in the given order,
+        # by giving 8:40 almost nothing and the rest the two-child split.
+        def star(children):
+            speeds, bandwidths = zip(*children)
+            config = SltnConfig(len(children), 10.0, speeds, bandwidths, 25.0)
+            return to_time_rates(config, 100.0)
+
+        given = star([(5.0, 100.0), (8.0, 40.0), (12.0, 75.0)])
+        t_given = solve_optimal(given, 25.0).t_star
+        assert t_given == pytest.approx(154.93, abs=0.005)
+        assert solve_optimal(star([(5.0, 100.0), (12.0, 75.0), (8.0, 40.0)]), 25.0).t_star == pytest.approx(146.25)
+        dropped = solve_optimal(star([(5.0, 100.0), (12.0, 75.0)]), 25.0)
+        assert dropped.t_star == pytest.approx(152.34, abs=0.005)
+        a0, a1, a3 = (a * (1.0 - 1e-6) for a in dropped.alpha)
+        profile = simulate_timeline(given, (a0, a1, 1e-6, a3), 25.0)
+        assert max(profile.compute_finish) == pytest.approx(152.344, abs=0.0005)
+        assert max(profile.compute_finish) < t_given
+
     def test_rejects_bad_load(self):
         rates = TimeRates(w0=1.0, w=(1.0,), z=(1.0,))
         with pytest.raises(InvalidInputError):
