@@ -33,6 +33,7 @@ from .evaluation import (
 from .mlp import (
     MlpModel,
     MlpParams,
+    ModelMetadata,
     TrainConfig,
     TrainReport,
     init_params,

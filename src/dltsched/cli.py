@@ -51,7 +51,7 @@ def hybrid_predict(
     except NumericError:
         ml_estimate = math.nan
     if not ml_estimate <= threshold:
-        alloc = solver.solve_optimal(solver.to_time_rates(config, model.compute_intensity), config.load_gb)
+        alloc = solver.solve_optimal(solver.to_time_rates(config, model.metadata.compute_intensity), config.load_gb)
         return HybridDecision(
             t_star=alloc.t_star, source="dlt-verified", ml_estimate=ml_estimate, threshold=threshold
         )
@@ -158,19 +158,15 @@ def cmd_train(args) -> int:
         max_epochs=args.max_epochs,
         seed=args.seed,
     )
-    metadata = {
-        "train_seed": args.seed,
-        "split_seed": split_seed,
-        "dataset_hash": header.sha256,
-        "compute_intensity": header.compute_intensity,
-    }
     model, report = mlp.train(
         train_set.features,
         train_set.t_star,
         val_set.features,
         val_set.t_star,
         config,
-        metadata=metadata,
+        mlp.ModelMetadata(
+            train_seed=args.seed, split_seed=split_seed, dataset_hash=header.sha256, compute_intensity=header.compute_intensity
+        ),
         on_epoch=lambda e, tr, vl: _progress(f"epoch {e}: train {tr:.6f} val {vl:.6f}"),
     )
     mlp.save_model(args.out, model)
@@ -190,12 +186,12 @@ def cmd_evaluate(args) -> int:
     train_report = mlp.load_train_report(args.train_report) if args.train_report else None
     model = mlp.load_model(args.model)
     header, dataset = datagen.load_dataset(args.data)
-    if model.compute_intensity != header.compute_intensity:
+    if model.metadata.compute_intensity != header.compute_intensity:
         raise FileFormatError(
-            f"model was trained at compute intensity {model.compute_intensity}, dataset has "
+            f"model was trained at compute intensity {model.metadata.compute_intensity}, dataset has "
             f"{header.compute_intensity}; labels are incompatible"
         )
-    split_seed = args.split_seed if args.split_seed is not None else model.metadata.get("split_seed")
+    split_seed = args.split_seed if args.split_seed is not None else model.metadata.split_seed
     if args.split != "all" and split_seed is None:
         raise InvalidInputError("model metadata lacks split_seed; pass --split-seed or --split all")
     subset = dataset if args.split == "all" else datagen.split_dataset(dataset, split_seed)[_SPLITS.index(args.split)]

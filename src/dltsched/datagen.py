@@ -125,12 +125,19 @@ class Dataset:
 class DatasetHeader:
     """What generation was asked for; ``save_dataset`` adds the rest.
     ``sha256`` is the hex SHA-256 of the bytes :func:`load_dataset` parsed,
-    ``None`` for a header not read from a file; equality ignores it."""
+    ``None`` for a header not read from a file; equality ignores it. A seed
+    outside [0, 2**64) or an intensity not positive and finite raises
+    :class:`InvalidInputError`."""
 
     seed: int
     ranges: SamplerRanges
     compute_intensity: float
     sha256: str | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        codec.integer(self.seed, "seed")
+        if not 0 < self.compute_intensity < math.inf:
+            raise InvalidInputError(f"compute_intensity must be positive and finite, got {self.compute_intensity!r}")
 
 
 @dataclass(frozen=True)
@@ -282,17 +289,26 @@ def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset, Datase
 
 def labeled_rows(features, t_star, what: str) -> tuple[np.ndarray, np.ndarray]:
     """``features`` and ``t_star`` as float64 arrays if they are a training or
-    validation set; otherwise :class:`InvalidInputError` naming ``what``."""
+    validation set, a nonempty set of finite feature rows with one finite
+    makespan each; otherwise :class:`InvalidInputError` naming ``what``."""
     x, y = np.asarray(features, dtype=float), np.asarray(t_star, dtype=float)
     if y.ndim != 1 or not len(y) or x.shape != (len(y), N_FEATURES):
         raise InvalidInputError(f"{what}: need a nonempty set of {N_FEATURES}-feature rows, one per makespan; got {x.shape}, {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidInputError(f"{what}: every feature and makespan must be finite")
     return x, y
 
 
 def _scale(values: np.ndarray) -> np.ndarray:
     """Population std along axis 0, or 1 where the values are all equal (2.2
-    repeated has a std of 1e-13, its mean's rounding) or the std is 0."""
-    std = values.std(axis=0)
+    repeated has a std of 1e-13, its mean's rounding) or the std is 0. Where
+    the squares of finite values overflow (labels near 1e204), the std is
+    taken on the values divided by their largest magnitude and scaled back."""
+    with np.errstate(over="ignore"):
+        std = values.std(axis=0)
+    if not np.isfinite(std).all():
+        unit = np.where(np.isfinite(std), 1.0, np.abs(values).max(axis=0))
+        std = (values / unit).std(axis=0) * unit
     return np.where((values.min(axis=0) < values.max(axis=0)) & (std > 0), std, 1.0)
 
 
@@ -329,13 +345,9 @@ def save_dataset(path, dataset: Dataset, header: DatasetHeader) -> None:
     """Write header plus one compact JSON record per line. Identical inputs
     produce byte-identical files.
 
-    A seed outside [0, 2**64), a compute intensity that is not positive and
-    finite, a non-finite feature or label, or a value JSON cannot encode
-    raises :class:`InvalidInputError` before any byte is written.
+    A non-finite feature or label, or a value JSON cannot encode, raises
+    :class:`InvalidInputError` before any byte is written.
     """
-    codec.integer(header.seed, "header seed")
-    if not 0 < header.compute_intensity < math.inf:
-        raise InvalidInputError(f"compute_intensity must be positive and finite, got {header.compute_intensity!r}")
     if not (np.isfinite(dataset.features).all() and np.isfinite(dataset.t_star).all()):
         raise InvalidInputError("every feature and t_star must be finite")
     lines = [
@@ -365,9 +377,9 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     """Read a file written by :func:`save_dataset`.
 
     A file that breaks the README's file rules raises
-    :class:`FileFormatError` naming the line; so do a compute intensity or
-    ``t_star`` that is not positive and a record count other than the
-    header's.
+    :class:`FileFormatError` naming the line; so do a header that
+    :class:`DatasetHeader` refuses, a ``t_star`` that is not positive and a
+    record count other than the header's.
     """
     data = codec.read_file(path)
     digest = hashlib.sha256(data).hexdigest()
@@ -391,15 +403,11 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
             bandwidth_range=tuple(codec.numbers(bounds["bandwidth"], 2, "bandwidth range")),
         )
         intensity = codec.number(head["compute_intensity"], "compute_intensity")
-        header = DatasetHeader(
-            seed=codec.integer(head["seed"], "seed"), ranges=ranges, compute_intensity=intensity, sha256=digest
-        )
+        header = DatasetHeader(seed=head["seed"], ranges=ranges, compute_intensity=intensity, sha256=digest)
         count = codec.integer(head["count"], "count")
         std_convention = head["std_convention"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
-    if intensity <= 0:
-        raise FileFormatError(f"{path}: compute_intensity must be positive, got {intensity!r}")
     if std_convention != STD_CONVENTION:
         raise FileFormatError(f"{path}: std_convention must be {STD_CONVENTION!r}, got {std_convention!r}")
     configs, rows, labels = [], [], []

@@ -149,20 +149,37 @@ def load_train_report(path) -> TrainReport:
     return report
 
 
+@dataclass(frozen=True, kw_only=True)
+class ModelMetadata:
+    """Where a bundle came from: its metadata keys, in the order it writes
+    them. The seeds of training and of ``split_dataset`` (integers in
+    [0, 2**64)) and the dataset's ``sha256`` (a string) are ``None`` when not
+    known. ``compute_intensity``, the labels' GFLOP per GB, bounds every
+    answer; it is a positive, finite JSON number. Any other value raises
+    :class:`InvalidInputError`."""
+
+    train_seed: int | None = None
+    split_seed: int | None = None
+    dataset_hash: str | None = None
+    compute_intensity: float
+
+    def __post_init__(self):
+        for name in ("train_seed", "split_seed"):
+            if getattr(self, name) is not None:
+                codec.integer(getattr(self, name), name)
+        if self.dataset_hash is not None and type(self.dataset_hash) is not str:
+            raise InvalidInputError(f"dataset_hash must be a string, got {self.dataset_hash!r}")
+        if not 0 < codec.number(self.compute_intensity, "compute_intensity") < math.inf:
+            raise InvalidInputError(f"compute_intensity must be positive and finite, got {self.compute_intensity!r}")
+
+
 @dataclass
 class MlpModel:
-    """Deployable bundle: weights plus the statistics needed for inference."""
+    """Deployable bundle: weights, the z-score they infer with, and provenance."""
 
     params: MlpParams
     norm: NormalizationStats
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def compute_intensity(self) -> float:
-        """GFLOP per GB of the labels the model was trained on."""
-        if "compute_intensity" not in self.metadata:
-            raise InvalidInputError("model metadata lacks compute_intensity")
-        return float(self.metadata["compute_intensity"])
+    metadata: ModelMetadata
 
 
 def init_params(seed, layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS) -> MlpParams:
@@ -306,7 +323,7 @@ def train(
     x_val: np.ndarray,
     y_val: np.ndarray,
     config: TrainConfig,
-    metadata: dict,
+    metadata: ModelMetadata,
     on_epoch=None,
 ) -> tuple[MlpModel, TrainReport]:
     """Train on raw feature rows and makespans; returns the bundle from the
@@ -323,11 +340,8 @@ def train(
     partial batch, evaluates validation MSE after every epoch, and stops
     once validation loss has not improved for ``config.patience`` epochs.
     ``on_epoch`` is an optional progress callback taking (epoch, train_loss,
-    val_loss). ``metadata`` must hold the labels' ``compute_intensity``,
-    which bounds every answer of :func:`predict_features`.
+    val_loss). ``metadata`` goes into the bundle as it is.
     """
-    if "compute_intensity" not in metadata:
-        raise InvalidInputError("metadata must record the labels' compute_intensity")
     norm = fit_normalization(x_train, y_train)
     x_val, y_val = labeled_rows(x_val, y_val, "validation set")
     x_train, y_train = _z_features(norm, x_train), _z_target(norm, y_train)
@@ -388,7 +402,7 @@ def train(
         wall_seconds=time.perf_counter() - started,
         stopped_early=stopped_early,
     )
-    model = MlpModel(params=best_params, norm=norm, metadata=dict(metadata))
+    model = MlpModel(params=best_params, norm=norm, metadata=metadata)
     return model, report
 
 
@@ -401,7 +415,7 @@ def predict_features(model: MlpModel, features) -> np.ndarray:
     """
     rows = np.atleast_2d(np.asarray(features, dtype=float))
     y, _ = forward(model.params, _z_features(model.norm, rows))
-    bound = model.compute_intensity * rows[:, _LOAD_GB] / (rows[:, _W0] + rows[:, _N] * rows[:, _MEAN_W])
+    bound = model.metadata.compute_intensity * rows[:, _LOAD_GB] / (rows[:, _W0] + rows[:, _N] * rows[:, _MEAN_W])
     return np.maximum(_unz_target(model.norm, y), bound)
 
 
@@ -423,30 +437,18 @@ def predict(model: MlpModel, config: SltnConfig) -> float:
         raise NumericError("a z-scored feature is beyond float32's range; the system is outside the surrogate's range")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge finite input may overflow inside the network
         y, _ = forward(model.params, row)
-    bound = model.compute_intensity * f.load_gb / (f.w0 + f.n * f.mean_w)
+    bound = model.metadata.compute_intensity * f.load_gb / (f.w0 + f.n * f.mean_w)
     t_star = max(float(y) * norm.target_std + norm.target_mean, bound)
     if not math.isfinite(t_star):
         raise NumericError(f"makespan {t_star!r} is not finite; the system is outside the surrogate's range")
     return t_star
 
 
-def _has_non_finite(value) -> bool:
-    """Whether a float anywhere in ``value`` (nested dicts and lists) is NaN or infinite."""
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, dict):
-        return any(map(_has_non_finite, value.values()))
-    if isinstance(value, (list, tuple)):
-        return any(map(_has_non_finite, value))
-    return False
-
-
 def save_model(path, model: MlpModel) -> None:
     """Serialize the bundle as versioned JSON; round-trips bit-exactly.
 
-    Only finite float32 weights of the production architecture are bundled.
-    A non-finite metadata number, or metadata JSON cannot encode, raises
-    :class:`InvalidInputError` before any byte is written.
+    Only finite float32 weights of the production architecture are bundled;
+    any other raises :class:`InvalidInputError` before any byte is written.
     """
     if model.params.layer_dims != DEFAULT_LAYER_DIMS:
         raise InvalidInputError(f"can only bundle the production architecture {DEFAULT_LAYER_DIMS}")
@@ -454,8 +456,6 @@ def save_model(path, model: MlpModel) -> None:
         raise InvalidInputError(f"can only bundle float32 weights, got {model.params.flat.dtype}")
     if not np.isfinite(model.params.flat).all():
         raise InvalidInputError("can only bundle finite weights and biases")
-    if _has_non_finite(model.metadata):
-        raise InvalidInputError(f"model metadata holds a non-finite number: {model.metadata!r}")
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -504,13 +504,7 @@ def load_model(path) -> MlpModel:
             target_mean=codec.number(stats["target_mean"], "target_mean"),
             target_std=codec.number(stats["target_std"], "target_std"),
         )
-        metadata = obj["metadata"]
-        if type(metadata) is not dict:
-            raise TypeError(f"metadata must be a JSON object, got {type(metadata).__name__}")
-        if codec.number(metadata["compute_intensity"], "compute_intensity") <= 0:
-            raise ValueError(f"compute_intensity must be positive, got {metadata['compute_intensity']!r}")
-        if metadata.get("split_seed") is not None:
-            codec.integer(metadata["split_seed"], "split_seed")
+        metadata = ModelMetadata(**obj["metadata"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
     params = MlpParams(weights, biases)

@@ -29,7 +29,7 @@ def constant_model(output: float, compute_intensity: float) -> mlp.MlpModel:
         target_mean=0.0,
         target_std=1.0,
     )
-    return mlp.MlpModel(params=params, norm=norm, metadata={"compute_intensity": compute_intensity})
+    return mlp.MlpModel(params=params, norm=norm, metadata=mlp.ModelMetadata(compute_intensity=compute_intensity))
 
 
 def dataset_of(configs, t_star) -> datagen.Dataset:
@@ -49,7 +49,7 @@ def desk_run():
         val.features,
         val.t_star,
         desk_train_config(),
-        metadata={"train_seed": DESK_SEED, "split_seed": DESK_SEED, "compute_intensity": DESK_INTENSITY},
+        metadata=mlp.ModelMetadata(train_seed=DESK_SEED, split_seed=DESK_SEED, compute_intensity=DESK_INTENSITY),
     )
     elapsed = time.perf_counter() - started
     return {

@@ -148,7 +148,7 @@ class TestLearningCriteria:
                 desk_run["val"].features,
                 desk_run["val"].t_star,
                 desk_train_config(backup_seed),
-                metadata={"compute_intensity": DESK_INTENSITY},
+                metadata=mlp.ModelMetadata(compute_intensity=DESK_INTENSITY),
             )
             stopped.append(rep.stopped_early)
         elapsed = desk_run["pipeline_seconds"]
@@ -251,7 +251,7 @@ class TestDeterminismCriterion:
                 val.features,
                 val.t_star,
                 mlp.TrainConfig(seed=3, max_epochs=4),
-                metadata={"train_seed": 3, "split_seed": 3, "compute_intensity": DESK_INTENSITY},
+                metadata=mlp.ModelMetadata(train_seed=3, split_seed=3, compute_intensity=DESK_INTENSITY),
             )
             mlp.save_model(d / "model.json", model)
             preds = mlp.predict_features(model, test.features)

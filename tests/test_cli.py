@@ -194,7 +194,7 @@ class TestTrainCommand:
         data, model = tiny_pipeline["data"], tmp_path / "m.json"
         assert run(capsys, "train", "--data", str(data), "--out", str(model), "--max-epochs", "1")[0] == 0
         assert reads == [data]
-        assert mlp.load_model(model).metadata["dataset_hash"] == hashlib.sha256(data.read_bytes()).hexdigest()
+        assert mlp.load_model(model).metadata.dataset_hash == hashlib.sha256(data.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize(
         "count, ranges, per_n_rows",
@@ -211,11 +211,21 @@ class TestTrainCommand:
             rows = (plots / "per_n_errors.csv").read_text().splitlines()[1:]
             assert [row.split(",")[:2] for row in rows] == per_n_rows  # bucket and count
 
+    def test_labels_whose_squares_overflow_train(self, capsys, tmp_path):
+        # Speeds near 1e-200 give makespans near 1e204, beyond the square
+        # root of the double range; their std is still finite.
+        data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+        ranges = ["--n-range", "3", "4", "--speed-range", "1e-200", "2e-200"]
+        assert run(capsys, "generate", "--count", "60", "--seed", "1", "--out", str(data), *ranges)[0] == 0
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(model), "--max-epochs", "2")
+        assert code == 0 and "Warning" not in err
+
     def test_model_is_loadable(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])
         assert model.params.param_count() == 12_545
-        assert model.metadata["split_seed"] == 1
-        assert model.metadata["compute_intensity"] == 100.0
+        assert model.metadata == mlp.ModelMetadata(
+            train_seed=1, split_seed=1, dataset_hash=model.metadata.dataset_hash, compute_intensity=100.0
+        )
 
     def test_missing_dataset_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "m.json"))
@@ -240,12 +250,22 @@ class TestTrainCommand:
         "line, key, value, message",
         [
             (0, "compute_intensity", -1.0, "compute_intensity"),
+            (0, "compute_intensity", 0, "compute_intensity must be positive"),
+            (0, "seed", -1, "seed must be an integer"),
             (3, "t_star", -3.0, "t_star"),
             (3, "t_star", float("nan"), ":4: malformed record"),
             (3, "features", [float("nan")] + [1.0] * 15, ":4: malformed record"),
             (0, "std_convention", "sample", "std_convention"),
         ],
-        ids=["negative-intensity", "negative-t-star", "nan-t-star", "nan-feature", "sample-std"],
+        ids=[
+            "negative-intensity",
+            "zero-intensity",
+            "negative-seed",
+            "negative-t-star",
+            "nan-t-star",
+            "nan-feature",
+            "sample-std",
+        ],
     )
     def test_bad_dataset_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, line, key, value, message):
         lines = tiny_pipeline["data"].read_text().splitlines()
@@ -436,6 +456,9 @@ class TestPredictCommand:
             (("norm", "feature_means", 0), float("nan"), "unexpected character"),
             (("metadata", "compute_intensity"), "abc", "compute_intensity"),
             (("metadata", "compute_intensity"), -5, "compute_intensity"),
+            (("metadata", "compute_intensity"), -1, "compute_intensity"),
+            (("metadata", "compute_intensity"), 0, "compute_intensity"),
+            (("metadata", "compute_intensity"), "100", "compute_intensity"),
             (("metadata", "compute_intensity"), float("inf"), "unexpected character"),
             (("metadata", "compute_intensity"), True, "compute_intensity"),
             (("biases", 0), [[0.0]] * 128, "bias shapes"),
@@ -449,7 +472,9 @@ class TestPredictCommand:
             (("norm", "target_std"), "324.0", "target_std"),
             (("norm", "feature_stds", 0), 0.0, "standard deviation"),
             (("norm", "target_std"), 0.0, "standard deviation"),
-            (("metadata",), [["compute_intensity", 100.0], ["split_seed", 7]], "metadata must be a JSON object"),
+            (("metadata",), [["compute_intensity", 100.0], ["split_seed", 7]], "must be a mapping"),
+            (("metadata", "history"), [1.0], "unexpected keyword argument 'history'"),
+            (("metadata", "dataset_hash"), 5, "dataset_hash must be a string"),
         ],
         ids=[
             "nan-weight",
@@ -459,6 +484,9 @@ class TestPredictCommand:
             "nan-feature-mean",
             "text-intensity",
             "negative-intensity",
+            "minus-one-intensity",
+            "zero-intensity",
+            "quoted-intensity",
             "infinite-intensity",
             "boolean-intensity",
             "column-bias",
@@ -473,6 +501,8 @@ class TestPredictCommand:
             "zero-feature-std",
             "zero-target-std",
             "pair-list-metadata",
+            "extra-metadata-key",
+            "number-dataset-hash",
         ],
     )
     def test_bad_bundle_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, where, value, message):

@@ -309,6 +309,16 @@ class TestNormalization:
         stats = fit_normalization(dataset.features, np.full(20, 7.5))
         assert (stats.target_mean, stats.target_std) == (7.5, 1.0)
 
+    def test_std_of_labels_whose_squares_overflow(self):
+        # Speeds near 1e-200 give labels near 1e204; numpy's std squares
+        # them to inf (with an overflow warning, an error in this suite).
+        ranges = SamplerRanges(n_range=(3, 4), speed_range=(1e-200, 2e-200))
+        dataset = generate_dataset(60, seed=1, ranges=ranges)
+        peak = dataset.t_star.max()
+        assert dataset.t_star.min() > 1e155  # every square is beyond the double range
+        stats = fit_normalization(dataset.features, dataset.t_star)
+        assert stats.target_std == pytest.approx((dataset.t_star / peak).std() * peak, rel=1e-15)
+
 
 # The header's "ranges" for the default SamplerRanges.
 FILE_RANGES = {"n": [3, 20], "load_gb": [1.0, 100.0], "speed": [1.0, 15.0], "bandwidth": [10.0, 150.0]}
@@ -330,6 +340,39 @@ class TestDatasetFiles:
         assert header == self.header()
         head = json.loads(path.read_text().splitlines()[0])
         assert (head["version"], head["count"], head["std_convention"]) == (datagen.FORMAT_VERSION, 30, "population")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        intensity=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 2**64 - 1),
+        n_range=st.tuples(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1)).map(sorted),
+        load_range=st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)).map(sorted),
+    )
+    def test_header_round_trips(self, tmp_path_factory, seed, intensity, n_range, load_range):
+        header = DatasetHeader(
+            seed=seed, ranges=SamplerRanges(n_range=tuple(n_range), load_range=tuple(load_range)), compute_intensity=intensity
+        )
+        path = tmp_path_factory.getbasetemp() / "header-data.jsonl"
+        save_dataset(path, generate_dataset(3, seed=4), header)
+        loaded, _ = load_dataset(path)
+        assert loaded == header and type(loaded.compute_intensity) is type(intensity)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
+            ({"seed": 7.0}, "seed"),
+            ({"compute_intensity": 0.0}, "compute_intensity"),
+            ({"compute_intensity": -1.0}, "compute_intensity"),
+            ({"compute_intensity": float("inf")}, "compute_intensity"),
+            ({"compute_intensity": float("nan")}, "compute_intensity"),
+        ],
+        ids=["negative-seed", "seed-2**64", "float-seed", "zero-intensity", "negative-intensity", "inf-intensity", "nan-intensity"],
+    )
+    def test_header_refuses_values_outside_its_rule(self, fields, name):
+        with pytest.raises(InvalidInputError, match=name):
+            DatasetHeader(**{"seed": 7, "ranges": SamplerRanges(), "compute_intensity": 100.0, **fields})
 
     def test_byte_identical_rewrites(self, tmp_path):
         dataset = generate_dataset(25, seed=11)

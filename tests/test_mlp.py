@@ -13,6 +13,7 @@ from dltsched.mlp import (
     AdamState,
     MlpModel,
     MlpParams,
+    ModelMetadata,
     TrainConfig,
     adam_step,
     backward,
@@ -32,7 +33,7 @@ from conftest import constant_model
 IDENTITY_NORM = datagen.NormalizationStats(
     feature_means=(0.0,) * 16, feature_stds=(1.0,) * 16, target_mean=0.0, target_std=1.0
 )
-TOY_META = {"compute_intensity": 100.0}
+TOY_META = ModelMetadata(compute_intensity=100.0)
 
 
 def zero_params(layer_dims):
@@ -464,11 +465,77 @@ class TestTrain:
             train(*sets, TrainConfig(), TOY_META, on_epoch=lambda *args: epochs.append(args))
         assert epochs == []
 
-    def test_rejects_metadata_without_compute_intensity(self):
-        # The intensity bounds every answer; a guessed one would move them.
-        x_tr, y_tr, x_val, y_val = self.toy_sets(count=16)
-        with pytest.raises(InvalidInputError, match="compute_intensity"):
-            train(x_tr, y_tr, x_val, y_val, TrainConfig(max_epochs=1), metadata={"train_seed": 0})
+    @pytest.mark.parametrize(
+        "which, index, value, name",
+        [(2, (3, 5), np.nan, "validation"), (1, 7, np.inf, "training")],
+        ids=["nan-val-feature", "infinite-train-makespan"],
+    )
+    def test_rejects_non_finite_sets_before_the_first_epoch(self, which, index, value, name):
+        # Not a whole epoch and then TrainingDivergedError: nothing diverged.
+        sets = [a.copy() for a in self.toy_sets(count=16)]
+        sets[which][index] = value
+        epochs = []
+        with pytest.raises(InvalidInputError, match=f"{name} set: every feature and makespan must be finite"):
+            train(*sets, TrainConfig(), TOY_META, on_epoch=lambda *args: epochs.append(args))
+        assert epochs == []
+
+
+class TestModelMetadata:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"compute_intensity": 0.0}, "compute_intensity"),
+            ({"compute_intensity": -1.0}, "compute_intensity"),
+            ({"compute_intensity": float("nan")}, "compute_intensity"),
+            ({"compute_intensity": float("inf")}, "compute_intensity"),
+            ({"compute_intensity": "100"}, "compute_intensity"),
+            ({"compute_intensity": True}, "compute_intensity"),
+            ({"compute_intensity": 100.0, "train_seed": 2**64}, "train_seed"),
+            ({"compute_intensity": 100.0, "train_seed": 1.0}, "train_seed"),
+            ({"compute_intensity": 100.0, "split_seed": -1}, "split_seed"),
+            ({"compute_intensity": 100.0, "split_seed": True}, "split_seed"),
+            ({"compute_intensity": 100.0, "dataset_hash": 5}, "dataset_hash"),
+        ],
+        ids=[
+            "zero-intensity",
+            "negative-intensity",
+            "nan-intensity",
+            "infinite-intensity",
+            "text-intensity",
+            "boolean-intensity",
+            "train-seed-2**64",
+            "float-train-seed",
+            "negative-split-seed",
+            "boolean-split-seed",
+            "number-hash",
+        ],
+    )
+    def test_refuses_values_outside_its_rule(self, fields, name):
+        with pytest.raises(InvalidInputError, match=name):
+            ModelMetadata(**fields)
+
+    def test_intensity_is_required(self):
+        # It bounds every answer; a guessed one would move them.
+        with pytest.raises(TypeError, match="compute_intensity"):
+            ModelMetadata(train_seed=0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        train_seed=st.none() | st.integers(0, 2**64 - 1),
+        split_seed=st.none() | st.integers(0, 2**64 - 1),
+        dataset_hash=st.none() | st.text(st.characters(blacklist_categories=("Cs",))),
+        compute_intensity=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 2**64 - 1),
+    )
+    def test_round_trips_through_a_bundle(self, tmp_path_factory, train_seed, split_seed, dataset_hash, compute_intensity):
+        metadata = ModelMetadata(
+            train_seed=train_seed, split_seed=split_seed, dataset_hash=dataset_hash, compute_intensity=compute_intensity
+        )
+        path = tmp_path_factory.getbasetemp() / "metadata-model.json"
+        save_model(path, MlpModel(params=init_params(0).astype(np.float32), norm=IDENTITY_NORM, metadata=metadata))
+        loaded = load_model(path).metadata
+        assert loaded == metadata
+        assert type(loaded.compute_intensity) is type(compute_intensity)
+        assert list(json.loads(path.read_text())["metadata"]) == ["train_seed", "split_seed", "dataset_hash", "compute_intensity"]
 
 
 class TestModelBundle:
@@ -478,7 +545,7 @@ class TestModelBundle:
         records = datagen.generate_dataset(120, seed=21)
         norm = datagen.fit_normalization(records.features, records.t_star)
         params = init_params(8).astype(np.float32)
-        return MlpModel(params=params, norm=norm, metadata={"train_seed": 8, "compute_intensity": 100.0})
+        return MlpModel(params=params, norm=norm, metadata=ModelMetadata(train_seed=8, compute_intensity=100.0))
 
     def test_round_trip_preserves_weights(self, tmp_path):
         model = self.small_model()
@@ -513,7 +580,7 @@ class TestModelBundle:
     @example(values=[float(np.finfo(np.float32).max), -float(np.finfo(np.float32).smallest_subnormal), -0.0])
     @given(values=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
     def test_every_finite_float32_round_trips_bit_exactly(self, tmp_path_factory, values):
-        model = MlpModel(params=init_params(0).astype(np.float32), norm=IDENTITY_NORM, metadata=dict(TOY_META))
+        model = MlpModel(params=init_params(0).astype(np.float32), norm=IDENTITY_NORM, metadata=TOY_META)
         model.params.flat[: len(values)] = values
         path = tmp_path_factory.getbasetemp() / "float32-model.json"
         save_model(path, model)
@@ -574,8 +641,6 @@ class TestModelBundle:
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError, match="compute_intensity"):
             load_model(path)
-        with pytest.raises(InvalidInputError, match="compute_intensity"):
-            MlpModel(params=init_params(0), norm=IDENTITY_NORM).compute_intensity
 
     @pytest.mark.parametrize("layer_dims", [5, None, "16,128,64,32,1"], ids=["number", "null", "string"])
     def test_rejects_malformed_layer_dims(self, tmp_path, layer_dims):
@@ -594,24 +659,14 @@ class TestModelBundle:
         [
             lambda model: model.params.weights[2].__setitem__((0, 0), np.inf),
             lambda model: model.params.biases[0].__setitem__(3, np.nan),
-            lambda model: model.metadata.update(compute_intensity=float("nan")),
-            lambda model: model.metadata.update(history=[1.0, [float("-inf")]]),
         ],
-        ids=["infinite-weight", "nan-bias", "nan-intensity", "nested-infinity"],
+        ids=["infinite-weight", "nan-bias"],
     )
     def test_non_finite_values_not_bundlable(self, tmp_path, edit):
         model = self.small_model()
         edit(model)
         path = tmp_path / "m.json"
-        with pytest.raises(InvalidInputError, match="non-finite|finite weights"):
-            save_model(path, model)
-        assert not path.exists()
-
-    def test_unencodable_metadata_not_bundlable(self, tmp_path):
-        model = self.small_model()
-        model.metadata["train_seed"] = 2**64
-        path = tmp_path / "m.json"
-        with pytest.raises(InvalidInputError, match="encode"):
+        with pytest.raises(InvalidInputError, match="finite weights"):
             save_model(path, model)
         assert not path.exists()
 
@@ -622,7 +677,7 @@ class TestModelBundle:
             save_model(tmp_path / "m.json", model)
 
     def test_nondefault_architecture_not_bundlable(self, tmp_path):
-        model = MlpModel(params=init_params(0, (16, 4, 1)), norm=IDENTITY_NORM)
+        model = MlpModel(params=init_params(0, (16, 4, 1)), norm=IDENTITY_NORM, metadata=TOY_META)
         with pytest.raises(InvalidInputError):
             save_model(tmp_path / "m.json", model)
 
@@ -686,7 +741,7 @@ class TestPredict:
         for w in params.weights[1:]:
             w[0, 0] = 1.0
         norm = TestModelBundle.small_model().norm
-        model = MlpModel(params=params, norm=norm, metadata={"compute_intensity": 1e-9})
+        model = MlpModel(params=params, norm=norm, metadata=ModelMetadata(compute_intensity=1e-9))
         rows = np.array(norm.feature_means) + np.multiply.outer([0.0, 1.0, 2.0], norm.feature_stds)
         answers = predict_features(model, rows)
         assert answers[0] == norm.target_mean

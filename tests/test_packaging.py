@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dltsched
+from dltsched import mlp
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -141,3 +143,12 @@ def test_readme_python_block_matches_the_package(source):
             pytest.fail(f"README.md: {ast.unparse(node)}: {exc}")
         bound += 1
     assert names and bound
+
+
+def test_readme_lists_exactly_the_bundle_metadata_keys():
+    # The README's model-bundle entry lists one key per nested item. They
+    # must be ModelMetadata's fields, in order, so a field added to the
+    # record, or a key dropped from it, cannot leave the docs behind.
+    bundle = re.search(r"^- Model bundle:.*?(?=^- |^\S|\Z)", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+    keys = re.findall(r"^  - `(\w+)`", bundle.group(), flags=re.MULTILINE)
+    assert keys == [field.name for field in dataclasses.fields(mlp.ModelMetadata)]
