@@ -24,7 +24,6 @@ from .datagen import (
     split_dataset,
 )
 from .evaluation import (
-    MetricReport,
     Stratum,
     compute_metrics,
     residual_analysis,

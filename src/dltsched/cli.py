@@ -24,6 +24,7 @@ EXIT_NUMERIC = 4
 
 DEFAULT_HYBRID_THRESHOLD = 5000.0  # seconds
 _SPLITS = ("train", "val", "test")  # in the order split_dataset returns them
+_REPORTED = ("count", "r2", "mae_s", "rmse_s", "mape_pct")  # the fields of a split's row evaluate prints
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,10 @@ def cmd_evaluate(args) -> int:
             f"model was trained at compute intensity {model.metadata.compute_intensity}, dataset has "
             f"{header.compute_intensity}; labels are incompatible"
         )
+    if args.split != "all" and model.metadata.dataset_hash not in (None, header.sha256):
+        raise FileFormatError(
+            f"model was trained on another dataset than {args.data}; pass --split all to score another dataset"
+        )
     split_seed = args.split_seed if args.split_seed is not None else model.metadata.split_seed
     if args.split != "all" and split_seed is None:
         raise InvalidInputError("model metadata lacks split_seed; pass --split-seed or --split all")
@@ -199,20 +204,13 @@ def cmd_evaluate(args) -> int:
     predictions = mlp.predict_features(model, subset.features)
     metrics = evaluation.compute_metrics(predictions, subset.t_star)
     if args.format == "machine":
-        _print_json(
-            split=args.split,
-            count=metrics.count,
-            r2=metrics.r2,
-            mae_s=metrics.mae,
-            rmse_s=metrics.rmse,
-            mape_pct=metrics.mape,
-        )
+        _print_json(split=args.split, **{name: getattr(metrics, name) for name in _REPORTED})
     else:
         print(f"count = {metrics.count} ({args.split} split)")
         print(f"R2    = {metrics.r2:.6f}")
-        print(f"MAE   = {metrics.mae:.3f} s")
-        print(f"RMSE  = {metrics.rmse:.3f} s")
-        print(f"MAPE  = {metrics.mape:.3f} %")
+        print(f"MAE   = {metrics.mae_s:.3f} s")
+        print(f"RMSE  = {metrics.rmse_s:.3f} s")
+        print(f"MAPE  = {metrics.mape_pct:.3f} %")
     if args.out:
         files = evaluation.emit_plot_data(args.out, subset, predictions, train_report)
         _progress(f"wrote {len(files)} plot tables to {args.out}")

@@ -1,10 +1,11 @@
-"""Accuracy metrics, stratified error analysis, and plot-ready data tables.
+"""Accuracy statistics, stratified error analysis, and plot-ready data tables.
 
-Metrics are computed in original units (seconds). ``stratify`` slices a
-prediction set by system size, load magnitude, or compute-speed
-heterogeneity into one ``Stratum`` row per bucket, to expose where the
-surrogate is trustworthy. ``residual_analysis`` returns the rows of the
-signed-error and signed percentage-error histograms and the
+Every statistic is computed in original units (seconds) into one record,
+``Stratum``: ``compute_metrics`` returns the ``all`` row of a whole
+prediction set, and ``stratify`` slices the set by system size, load
+magnitude, or compute-speed heterogeneity into one row per bucket, to
+expose where the surrogate is trustworthy. ``residual_analysis`` returns
+the rows of the signed-error and signed percentage-error histograms and the
 residual-vs-prediction pairs. ``emit_plot_data`` writes those rows as the
 delimited tables that feed external plotting.
 """
@@ -12,7 +13,6 @@ delimited tables that feed external plotting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,17 +32,9 @@ STRATIFY_SCHEMES = ("by-n", "by-load", "by-heterogeneity")
 _HIST_BINS = 40
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    r2: float
-    mae: float
-    rmse: float
-    mape: float  # percent
-    count: int
-
-
 class Stratum(NamedTuple):
-    """One row of a stratum table; the field names are its columns.
+    """The error record: one row of a stratum table, or the ``all`` row of a
+    whole set; the field names are its columns.
 
     Errors are in seconds and percentages of the exact makespan. An empty
     bucket has count 0 and ``None`` for every statistic.
@@ -67,30 +59,54 @@ def _check_pairs(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
             f"predictions and targets must be equal-length nonempty vectors, got "
             f"{predictions.shape} and {targets.shape}"
         )
-    if np.any(targets <= 0):
-        raise InvalidInputError("targets must be positive (makespans in seconds)")
+    if not (np.isfinite(predictions).all() and ((targets > 0) & (targets < math.inf)).all()):
+        raise InvalidInputError("predictions must be finite and targets positive and finite (makespans in seconds)")
     return predictions, targets
 
 
-def _metrics(predictions: np.ndarray, targets: np.ndarray, strict_r2: bool) -> MetricReport:
+def _stratum(label: str, predictions: np.ndarray, targets: np.ndarray) -> Stratum:
+    """Every statistic of one set of pairs; no pairs give ``Stratum(label, 0)``.
+
+    R2 is NaN when the targets hold one value (their minimum equals their
+    maximum, as ``datagen`` tests a constant column). A sum of squares beyond
+    the double range, or one of spread targets that underflows to 0, is
+    redone on the errors and centred targets divided by their largest
+    magnitude, and RMSE is scaled back.
+    """
+    if targets.size == 0:
+        return Stratum(label, 0)
     errors = predictions - targets
-    mae = float(np.mean(np.abs(errors)))
-    rmse = float(math.sqrt(np.mean(errors**2)))
-    mape = float(np.mean(np.abs(errors) / targets)) * 100.0
-    ss_tot = float(np.sum((targets - targets.mean()) ** 2))
-    if ss_tot == 0.0:
-        if strict_r2:
-            raise InvalidInputError("targets have zero variance; r2 is undefined")
-        r2 = math.nan
-    else:
-        r2 = 1.0 - float(np.sum(errors**2)) / ss_tot
-    return MetricReport(r2=r2, mae=mae, rmse=rmse, mape=mape, count=int(targets.size))
+    fractions = np.abs(errors) / targets
+    centred = targets - targets.mean()
+    spread = targets.min() < targets.max()
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        ss_res, ss_tot = float(np.sum(errors**2)), float(np.sum(centred**2))
+    if not (math.isfinite(ss_res) and math.isfinite(ss_tot) and (ss_tot > 0.0 or not spread)):
+        scale = float(max(np.abs(errors).max(), np.abs(centred).max()))
+        ss_res, ss_tot = float(np.sum((errors / scale) ** 2)), float(np.sum((centred / scale) ** 2))
+    pct = fractions * 100.0
+    return Stratum(
+        label,
+        int(targets.size),
+        1.0 - ss_res / ss_tot if spread else math.nan,
+        float(np.mean(np.abs(errors))),
+        math.sqrt(ss_res / targets.size) * scale,
+        float(np.mean(fractions)) * 100.0,
+        float(np.median(pct)),
+        float(np.percentile(pct, 90)),
+        float(pct.max()),
+    )
 
 
-def compute_metrics(predictions, targets) -> MetricReport:
-    """R2, MAE, RMSE, and MAPE in original units (seconds)."""
-    predictions, targets = _check_pairs(predictions, targets)
-    return _metrics(predictions, targets, strict_r2=True)
+def compute_metrics(predictions, targets) -> Stratum:
+    """The ``all`` row of the whole set: the statistics of each
+    :func:`stratify` row, in seconds and percent. Targets that hold one
+    value have no R2 and raise :class:`InvalidInputError`."""
+    row = _stratum("all", *_check_pairs(predictions, targets))
+    if math.isnan(row.r2):
+        raise InvalidInputError("targets hold one value; r2 is undefined")
+    return row
 
 
 def _bin_index(values: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
@@ -105,34 +121,13 @@ def _bin_labels(edges: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def _stratum(label: str, predictions: np.ndarray, targets: np.ndarray) -> Stratum:
-    if targets.size == 0:
-        return Stratum(label, 0)
-    m = _metrics(predictions, targets, strict_r2=False)
-    pct = np.abs(predictions - targets) / targets * 100.0
-    return Stratum(
-        label,
-        m.count,
-        m.r2,
-        m.mae,
-        m.rmse,
-        m.mape,
-        float(np.median(pct)),
-        float(np.percentile(pct, 90)),
-        float(pct.max()),
-    )
-
-
 def stratify(dataset: Dataset, predictions, scheme: str) -> list[Stratum]:
     """One row per bucket of n, load bin, or heterogeneity bin, read from
     the dataset's feature columns, in bucket order; every n between the
     smallest and largest present gets a row."""
     if scheme not in STRATIFY_SCHEMES:
         raise InvalidInputError(f"unknown scheme {scheme!r}; expected one of {STRATIFY_SCHEMES}")
-    predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (len(dataset),) or not len(dataset):
-        raise InvalidInputError("need at least one record and exactly one prediction per record")
-    targets = dataset.t_star
+    predictions, targets = _check_pairs(predictions, dataset.t_star)
 
     if scheme == "by-n":
         ns = dataset.column("n")

@@ -34,6 +34,7 @@ MODEL_VERSION = 2
 DEFAULT_LAYER_DIMS = (16, 128, 64, 32, 1)
 EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to an infinite float32
+_OUTSIDE = "the system is outside the surrogate's range"
 _WEIGHT_SHAPES = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
 _BIAS_SHAPES = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
 
@@ -411,12 +412,19 @@ def predict_features(model: MlpModel, features) -> np.ndarray:
 
     Each answer is at least the compute lower bound I*L / (w0 + n*mean_w):
     processor i needs alpha_i*L*I/speed_i seconds and the shares sum to 1.
-    The bound keeps the unclamped linear head from answering <= 0 s.
+    The bound keeps the unclamped linear head from answering <= 0 s. A row
+    :func:`predict` refuses raises :class:`NumericError`, naming the first.
     """
     rows = np.atleast_2d(np.asarray(features, dtype=float))
-    y, _ = forward(model.params, _z_features(model.norm, rows))
-    bound = model.metadata.compute_intensity * rows[:, _LOAD_GB] / (rows[:, _W0] + rows[:, _N] * rows[:, _MEAN_W])
-    return np.maximum(_unz_target(model.norm, y), bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below, as in predict
+        z = _z_features(model.norm, rows)
+        y, _ = forward(model.params, z)
+        bound = model.metadata.compute_intensity * rows[:, _LOAD_GB] / (rows[:, _W0] + rows[:, _N] * rows[:, _MEAN_W])
+        t_star = np.maximum(_unz_target(model.norm, y), bound)
+    outside = np.flatnonzero(~((np.abs(z) < _FLOAT32_OVERFLOW).all(axis=1) & np.isfinite(t_star)))
+    if outside.size:
+        raise NumericError(f"row {outside[0]}: a z-score beyond float32's range or a makespan not finite; {_OUTSIDE}")
+    return t_star
 
 
 def predict(model: MlpModel, config: SltnConfig) -> float:
@@ -434,13 +442,13 @@ def predict(model: MlpModel, config: SltnConfig) -> float:
     f = extract_features(config)
     row = [(v - m) / s for v, m, s in zip(f, norm.feature_means, norm.feature_stds)]
     if not all(-_FLOAT32_OVERFLOW < v < _FLOAT32_OVERFLOW for v in row):
-        raise NumericError("a z-scored feature is beyond float32's range; the system is outside the surrogate's range")
+        raise NumericError(f"a z-scored feature is beyond float32's range; {_OUTSIDE}")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge finite input may overflow inside the network
         y, _ = forward(model.params, row)
     bound = model.metadata.compute_intensity * f.load_gb / (f.w0 + f.n * f.mean_w)
     t_star = max(float(y) * norm.target_std + norm.target_mean, bound)
     if not math.isfinite(t_star):
-        raise NumericError(f"makespan {t_star!r} is not finite; the system is outside the surrogate's range")
+        raise NumericError(f"makespan {t_star!r} is not finite; {_OUTSIDE}")
     return t_star
 
 

@@ -152,15 +152,15 @@ class TestLearningCriteria:
             )
             stopped.append(rep.stopped_early)
         elapsed = desk_run["pipeline_seconds"]
-        ok = metrics.r2 >= 0.95 and metrics.mape <= 10.0 and any(stopped) and elapsed <= 600.0
+        ok = metrics.r2 >= 0.95 and metrics.mape_pct <= 10.0 and any(stopped) and elapsed <= 600.0
         report_line(
             7,
             ok,
-            f"desk-scale learning: R2={metrics.r2:.4f} (>=0.95), MAPE={metrics.mape:.2f}% (<=10%), "
+            f"desk-scale learning: R2={metrics.r2:.4f} (>=0.95), MAPE={metrics.mape_pct:.2f}% (<=10%), "
             f"early stop {stopped}, pipeline {elapsed:.0f}s (<=600s)",
         )
         assert metrics.r2 >= 0.95
-        assert metrics.mape <= 10.0
+        assert metrics.mape_pct <= 10.0
         assert any(stopped)
         assert elapsed <= 600.0
 

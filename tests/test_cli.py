@@ -211,14 +211,34 @@ class TestTrainCommand:
             rows = (plots / "per_n_errors.csv").read_text().splitlines()[1:]
             assert [row.split(",")[:2] for row in rows] == per_n_rows  # bucket and count
 
-    def test_labels_whose_squares_overflow_train(self, capsys, tmp_path):
+    def test_labels_whose_squares_overflow_train_and_evaluate(self, capsys, tmp_path):
         # Speeds near 1e-200 give makespans near 1e204, beyond the square
-        # root of the double range; their std is still finite.
+        # root of the double range; their std is still finite, and so are
+        # the RMSE and R2 of the model's answers.
         data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
         ranges = ["--n-range", "3", "4", "--speed-range", "1e-200", "2e-200"]
         assert run(capsys, "generate", "--count", "60", "--seed", "1", "--out", str(data), *ranges)[0] == 0
         code, _, err = run(capsys, "train", "--data", str(data), "--out", str(model), "--max-epochs", "2")
         assert code == 0 and "Warning" not in err
+        argv = ["evaluate", "--model", str(model), "--data", str(data), "--split", "all"]
+        code, out, err = run(capsys, *argv, "--format", "machine")
+        assert code == 0 and err == "evaluating 60 records (all split)\n"
+        payload = json.loads(out)
+        assert math.isfinite(payload["rmse_s"]) and math.isfinite(payload["r2"])
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "evaluating 60 records (all split)\n" and "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--batch-size", "batch size must be >= 1"), ("--patience", "patience must be >= 1"),
+         ("--max-epochs", "max epochs must be >= 1")],
+    )
+    def test_zero_train_setting_is_usage_error(self, capsys, tmp_path, tiny_pipeline, flag, message):
+        model = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--data", str(tiny_pipeline["data"]), "--out", str(model), flag, "0")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {message}, got 0"
+        assert not model.exists()
 
     def test_model_is_loadable(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])
@@ -416,7 +436,51 @@ class TestEvaluateCommand:
         assert "incompatible" in err
 
 
+    def test_rows_outside_the_surrogate_range_exit_four(self, capsys, tmp_path, tiny_pipeline):
+        # A 1e300 GB load has a z-score beyond float32's range; evaluate
+        # refuses its rows as predict refuses the system. The suite turns
+        # warnings into errors, so no numpy warning reaches stderr either.
+        data, model = tmp_path / "huge.jsonl", str(tiny_pipeline["model"])
+        run(capsys, "generate", "--count", "40", "--seed", "1", "--out", str(data), "--load-range", "1e299", "1e300")
+        argv = ["evaluate", "--model", model, "--data", str(data), "--split", "all", "--format", "machine"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines()[-1].startswith("error: row 0: ") and "outside the surrogate's range" in err
+        system = ["--root-speed", "10", "--load-gb", "1e300", "--child", "5:100"]
+        code, out, err = run(capsys, "predict", "--model", model, *system)
+        assert (code, out) == (4, "")
+        assert "outside the surrogate's range" in err
+
+    def test_another_datasets_split_is_data_error(self, capsys, tmp_path, tiny_pipeline):
+        other = tmp_path / "other.jsonl"
+        run(capsys, "generate", "--count", "80", "--seed", "2", "--out", str(other), "--n-range", "3", "4")
+        argv = ["evaluate", "--model", str(tiny_pipeline["model"]), "--data", str(other), "--format", "machine"]
+        code, out, err = run(capsys, *argv, "--split", "test")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1].startswith("error: ") and "pass --split all" in err
+        assert run(capsys, *argv, "--split", "all")[0] == 0
+
+    def test_bundle_without_dataset_hash_is_not_checked(self, capsys, tmp_path, tiny_pipeline):
+        other, model = tmp_path / "other.jsonl", tmp_path / "model.json"
+        run(capsys, "generate", "--count", "80", "--seed", "2", "--out", str(other), "--n-range", "3", "4")
+        bundle = json.loads(tiny_pipeline["model"].read_text())
+        bundle["metadata"]["dataset_hash"] = None
+        model.write_text(json.dumps(bundle))
+        code, out, _ = run(capsys, "evaluate", "--model", str(model), "--data", str(other), "--format", "machine")
+        assert code == 0 and json.loads(out)["count"] == 8
+
+
+# The README's example system.
+_README_SYSTEM = ["--root-speed", "10", "--load-gb", "25", "--child", "5:100", "--child", "8:40", "--child", "12:75"]
+
+
 class TestPredictCommand:
+    def test_human_output_matches_machine(self, capsys, tiny_pipeline):
+        argv = ["predict", "--model", str(tiny_pipeline["model"]), *_README_SYSTEM]
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        assert code == 0
+        assert run(capsys, *argv) == (0, f"predicted T* = {json.loads(out)['t_star_s']:.3f} s\n", "")
+
     def test_prediction_is_deterministic(self, capsys, tiny_pipeline):
         argv = [
             "predict",
@@ -661,6 +725,19 @@ class TestHybrid:
         assert payload["source"] == "dlt-verified"
         exact = solver.solve_optimal(solver.to_time_rates(self.config(), 100.0), 20.0)
         assert payload["t_star_s"] == pytest.approx(exact.t_star, rel=1e-12)
+
+    @pytest.mark.parametrize("threshold", ["0", "1e12"], ids=["dlt-verified", "ml"])
+    def test_human_output_matches_machine(self, capsys, tiny_pipeline, threshold):
+        argv = ["hybrid", "--model", str(tiny_pipeline["model"]), *_README_SYSTEM, "--threshold", threshold]
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        assert code == 0
+        p = json.loads(out)
+        assert run(capsys, *argv) == (
+            0,
+            f"T* = {p['t_star_s']:.3f} s (source: {p['source']})\n"
+            f"ML estimate = {p['ml_estimate_s']:.3f} s, threshold = {p['threshold_s']:g} s\n",
+            "",
+        )
 
     def test_nan_estimate_is_verified(self, capsys, tiny_pipeline):
         # A 1e300 GB load has a z-score beyond float32's range, so predict

@@ -9,7 +9,6 @@ from dltsched.errors import InvalidInputError
 from dltsched.evaluation import (
     HETEROG_BIN_EDGES,
     LOAD_BIN_EDGES,
-    MetricReport,
     Stratum,
     compute_metrics,
     emit_plot_data,
@@ -30,8 +29,7 @@ def config_for(n=3, load=10.0, speeds=None, bws=None):
 class TestComputeMetrics:
     def test_perfect_predictions(self):
         m = compute_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert (m.r2, m.mae, m.rmse, m.mape) == (1.0, 0.0, 0.0, 0.0)
-        assert m.count == 3
+        assert m == Stratum("all", 3, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_mean_predictor_scores_zero_r2(self):
         targets = [50.0, 100.0, 150.0]
@@ -40,26 +38,49 @@ class TestComputeMetrics:
 
     def test_hand_computed(self):
         m = compute_metrics([110.0, 180.0], [100.0, 200.0])
-        assert m.mae == 15.0
-        assert m.rmse == pytest.approx(math.sqrt(250.0))
-        assert m.mape == pytest.approx(10.0)
+        assert m.mae_s == 15.0
+        assert m.rmse_s == pytest.approx(math.sqrt(250.0))
+        assert m.mape_pct == pytest.approx(10.0)
 
-    def test_zero_variance_targets_rejected(self):
-        with pytest.raises(InvalidInputError):
-            compute_metrics([1.0, 2.0], [5.0, 5.0])
+    @pytest.mark.parametrize(
+        "preds, targets",
+        [([1.0, 2.0], [5.0, 5.0]), (np.full(7, 2.2) * 1.01, np.full(7, 2.2))],
+        ids=["exact-mean", "inexact-mean"],
+    )
+    def test_targets_holding_one_value_rejected(self, preds, targets):
+        # Seven 2.2s have a mean that is not 2.2, so their squared deviations
+        # sum to about 1e-30, not 0; the test is on the values themselves.
+        with pytest.raises(InvalidInputError, match="one value"):
+            compute_metrics(preds, targets)
+
+    @pytest.mark.parametrize(
+        "preds, targets",
+        [([math.nan, 2.0], [1.0, 2.0]), ([math.inf, 2.0], [1.0, 2.0]), ([1.0, 2.0], [math.inf, 2.0])],
+        ids=["nan-prediction", "infinite-prediction", "infinite-target"],
+    )
+    def test_non_finite_values_rejected(self, preds, targets):
+        with pytest.raises(InvalidInputError, match="finite"):
+            compute_metrics(preds, targets)
 
     def test_identities_on_random_data(self):
         rng = np.random.default_rng(0)
         targets = rng.uniform(10.0, 1000.0, size=200)
         preds = targets + rng.normal(0.0, 25.0, size=200)
         m = compute_metrics(preds, targets)
-        assert m.mae <= m.rmse
-        assert m.rmse**2 == pytest.approx(np.mean((preds - targets) ** 2))
+        assert m.mae_s <= m.rmse_s
+        assert m.rmse_s**2 == pytest.approx(np.mean((preds - targets) ** 2))
         assert m.r2 <= 1.0
 
-
-def row_metrics(row: Stratum) -> MetricReport:
-    return MetricReport(r2=row.r2, mae=row.mae_s, rmse=row.rmse_s, mape=row.mape_pct, count=row.count)
+    @pytest.mark.parametrize("k", [1e200, 1e-200], ids=["squares-overflow", "squares-underflow"])
+    def test_statistics_scale_with_the_makespans(self, k):
+        rng = np.random.default_rng(5)
+        targets = rng.uniform(10.0, 1000.0, size=200)
+        preds = targets + rng.normal(0.0, 25.0, size=200)
+        m, scaled = compute_metrics(preds, targets), compute_metrics(k * preds, k * targets)
+        assert scaled.r2 == pytest.approx(m.r2, rel=1e-12)
+        assert scaled.mape_pct == pytest.approx(m.mape_pct, rel=1e-12)
+        assert scaled.mae_s == pytest.approx(k * m.mae_s, rel=1e-12)
+        assert scaled.rmse_s == pytest.approx(k * m.rmse_s, rel=1e-12)
 
 
 class TestStratify:
@@ -99,7 +120,7 @@ class TestStratify:
         rows = stratify(dataset, preds, "by-n")
         whole = compute_metrics(preds, dataset.t_star)
         assert len(rows) == 1
-        assert row_metrics(rows[0]) == whole
+        assert rows[0]._replace(bucket="all") == whole
 
     def test_bucket_maes_recombine_to_global(self):
         rng = np.random.default_rng(2)
@@ -108,12 +129,12 @@ class TestStratify:
         preds = targets + rng.normal(0, 20, 60)
         rows = stratify(dataset, preds, "by-n")
         weighted = sum(r.count * r.mae_s for r in rows if r.count) / len(dataset)
-        assert weighted == pytest.approx(compute_metrics(preds, targets).mae)
+        assert weighted == pytest.approx(compute_metrics(preds, targets).mae_s)
 
     def test_empty_or_misaligned_predictions_rejected(self):
         dataset = dataset_of([config_for(), config_for()], [1.0, 2.0])
         for data, preds in ((dataset, [1.0]), (dataset.take([]), [])):
-            with pytest.raises(InvalidInputError, match="at least one record"):
+            with pytest.raises(InvalidInputError, match="equal-length nonempty"):
                 stratify(data, preds, "by-n")
 
     def test_unknown_scheme_rejected(self):
@@ -144,7 +165,7 @@ class TestStratifyColumns:
         assert [r.count for r in rows] == [len(groups.get(k, [])) for k in positions]
         for row, k in zip(rows, positions):
             if k in groups:
-                assert row_metrics(row) == compute_metrics(preds[groups[k]], dataset.t_star[groups[k]])
+                assert row == compute_metrics(preds[groups[k]], dataset.t_star[groups[k]])._replace(bucket=row.bucket)
 
 
 class TestResidualAnalysis:

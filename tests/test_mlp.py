@@ -49,6 +49,12 @@ def z_score(norm, rows, t_star):
     return rows, (t_star - norm.target_mean) / norm.target_std
 
 
+def sampled_rows(seed, count):
+    """Feature rows of ``count`` systems drawn from the default sampling box."""
+    configs = (datagen.sample_config(datagen.record_rng(seed, i)) for i in range(count))
+    return np.array([datagen.extract_features(c).as_array() for c in configs])
+
+
 def random_batch(rng, count, dim=16):
     return rng.normal(size=(count, dim)), rng.normal(size=count)
 
@@ -731,6 +737,29 @@ class TestPredict:
         )
         with pytest.raises(NumericError, match="makespan inf is not finite"):
             predict(model, config)
+        rows = [sampled_rows(13, 1)[0], datagen.extract_features(config).as_array()]
+        with pytest.raises(NumericError, match="row 1: .* makespan not finite; the system is outside"):
+            predict_features(model, rows)
+
+    @pytest.mark.parametrize("load_gb", [1e300, np.inf, np.nan], ids=["float32-overflowing-load", "infinite", "nan"])
+    def test_rows_outside_the_range_raise_numeric_error(self, load_gb):
+        # predict_features refuses the rows predict refuses, naming the first;
+        # no numpy warning escapes, as the suite turns warnings into errors.
+        rows = sampled_rows(13, 4)
+        rows[[2, 3], datagen.FEATURE_NAMES.index("load_gb")] = load_gb
+        with pytest.raises(NumericError, match="row 2: a z-score beyond float32's range"):
+            predict_features(TestModelBundle.small_model(), rows)
+
+    def test_in_range_answers_are_the_unchecked_pass(self):
+        # The range checks leave the answers on in-range rows bit for bit
+        # what the network, the inverse z-score and the bound give.
+        rows = sampled_rows(19, 300)
+        model = TestModelBundle.small_model()
+        norm, f = model.norm, datagen.FEATURE_NAMES.index
+        y, _ = forward(model.params, (rows - np.array(norm.feature_means)) / np.array(norm.feature_stds))
+        bound = 100.0 * rows[:, f("load_gb")] / (rows[:, f("w0")] + rows[:, f("n")] * rows[:, f("mean_w")])
+        expected = np.maximum(np.asarray(y, dtype=float) * norm.target_std + norm.target_mean, bound)
+        assert predict_features(model, rows).tobytes() == expected.tobytes()
 
     def test_z_score_and_its_inverse_frame_the_network(self):
         # A network that passes the load's z-score through to its output:
