@@ -80,7 +80,7 @@ class FeatureVector(NamedTuple):
     heterog_z: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
+        return np.fromiter(self, float, N_FEATURES)
 
 
 FEATURE_NAMES = FeatureVector._fields

@@ -64,34 +64,44 @@ def _check_pairs(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
     return predictions, targets
 
 
+def _sum_of_squares(values: np.ndarray) -> tuple[float, float]:
+    """``(total, scale)`` with ``total * scale**2`` the sum of squares of
+    ``values``. ``scale`` is 1 unless that sum overflows, or underflows to 0
+    while some value is not 0; then it is the largest magnitude."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(values**2))
+    if 0.0 < total < math.inf or not values.any():
+        return total, 1.0
+    scale = float(np.abs(values).max())
+    return float(np.sum((values / scale) ** 2)), scale
+
+
 def _stratum(label: str, predictions: np.ndarray, targets: np.ndarray) -> Stratum:
     """Every statistic of one set of pairs; no pairs give ``Stratum(label, 0)``.
 
     R2 is NaN when the targets hold one value (their minimum equals their
-    maximum, as ``datagen`` tests a constant column). A sum of squares beyond
-    the double range, or one of spread targets that underflows to 0, is
-    redone on the errors and centred targets divided by their largest
-    magnitude, and RMSE is scaled back.
+    maximum, as ``datagen`` tests a constant column). The errors' and the
+    centred targets' sums of squares are each scaled on their own when they
+    leave the double range, and R2 and RMSE are scaled back: R2 is -inf when
+    the ratio of the two sums overflows.
     """
     if targets.size == 0:
         return Stratum(label, 0)
     errors = predictions - targets
     fractions = np.abs(errors) / targets
-    centred = targets - targets.mean()
-    spread = targets.min() < targets.max()
-    scale = 1.0
-    with np.errstate(over="ignore"):
-        ss_res, ss_tot = float(np.sum(errors**2)), float(np.sum(centred**2))
-    if not (math.isfinite(ss_res) and math.isfinite(ss_tot) and (ss_tot > 0.0 or not spread)):
-        scale = float(max(np.abs(errors).max(), np.abs(centred).max()))
-        ss_res, ss_tot = float(np.sum((errors / scale) ** 2)), float(np.sum((centred / scale) ** 2))
+    ss_res, res_scale = _sum_of_squares(errors)
+    ss_tot, tot_scale = _sum_of_squares(targets - targets.mean())
+    r2 = math.nan
+    if targets.min() < targets.max():
+        ratio = res_scale / tot_scale
+        r2 = 1.0 - ss_res / ss_tot * ratio * ratio if ss_res else 1.0
     pct = fractions * 100.0
     return Stratum(
         label,
         int(targets.size),
-        1.0 - ss_res / ss_tot if spread else math.nan,
+        r2,
         float(np.mean(np.abs(errors))),
-        math.sqrt(ss_res / targets.size) * scale,
+        math.sqrt(ss_res / targets.size) * res_scale,
         float(np.mean(fractions)) * 100.0,
         float(np.median(pct)),
         float(np.percentile(pct, 90)),

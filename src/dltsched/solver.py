@@ -208,6 +208,12 @@ def beta_coefficients(rates: TimeRates) -> list[float]:
     return betas
 
 
+# Bounds of the running share in solve_optimal: a step by any beta in the
+# double range from inside them is recovered by _rescale.
+_SHARE_LOW = 2.0**-960
+_SHARE_HIGH = 2.0**960
+
+
 def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     """Closed-form equal-finish load split and makespan for a star network.
 
@@ -221,12 +227,15 @@ def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     order, a share of 1e-6 for 8:40 and the two-child split of the rest
     finish at 152.344 s.
 
-    The share chain alpha_{i-1} w_{i-1} = alpha_i (z_i + w_i) plus load
-    conservation gives alpha_i proportional to the beta suffix product
-    S_i = beta_{i+1} ... beta_n (S_n = 1). There is one route for every
-    system: log S_i is summed from the last child back to the root, shifted
-    by its maximum and exponentiated, so no product overflows whatever n,
-    and the shares are normalised with an exact sum.
+    The share chain alpha_{i-1} w_{i-1} = alpha_i (z_i + w_i) is a product
+    chain: with the root's share set to 1, each child's share is the one
+    before it divided by beta_i = (z_i + w_i) / w_{i-1}, one forward pass
+    over the children. There is one route for every system: whenever the
+    running share leaves [2**-960, 2**960], every share so far is multiplied
+    by the same power of two, chosen so that the largest stays below 2**960,
+    so no product overflows whatever n; the multiplication is exact for
+    every share that stays in the normal range. The shares are then
+    normalised with an exact sum.
 
     Range: any system whose shares the double format holds as positive
     numbers, i.e. down to about 5e-324 of the largest share (with fewer
@@ -236,18 +245,44 @@ def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     """
     if not 0.0 < load_gb < math.inf:
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")
-    log_s = [0.0]
-    for beta in reversed(beta_coefficients(rates)):
+    shares = [1.0]
+    share = 1.0
+    w_prev = rates.w0
+    for w_i, z_i in zip(rates.w, rates.z):
+        beta = (z_i + w_i) / w_prev
         if not 0.0 < beta < math.inf:
             raise NumericError(f"beta coefficient {beta!r} outside the double range; rate spread too extreme")
-        log_s.append(log_s[-1] + math.log(beta))
-    log_s.reverse()
-    shift = max(log_s)
-    scaled = [math.exp(v - shift) for v in log_s]
-    denom = math.fsum(scaled)
-    alpha = tuple(s / denom for s in scaled)
+        share /= beta
+        if not _SHARE_LOW <= share <= _SHARE_HIGH:
+            share = _rescale(shares, beta)
+        shares.append(share)
+        w_prev = w_i
+    denom = math.fsum(shares)
+    alpha = tuple([s / denom for s in shares])
     t_star_norm = rates.w0 * alpha[0]
     return LoadAllocation(alpha=alpha, t_star_norm=t_star_norm, t_star=t_star_norm * load_gb)
+
+
+def _rescale(shares: list[float], beta: float) -> float:
+    """The next share, ``shares[-1] / beta``, with it and every share in
+    ``shares`` multiplied in place by one power of two: the one that brings
+    the new share into [0.5, 1), or as near as keeps the largest share below
+    2**960.
+
+    Raises NumericError if the new share still falls below 2**-960, since it
+    is then under 2**-1919 of the largest and its fraction underflows.
+    """
+    m, e = math.frexp(shares[-1])
+    m_beta, e_beta = math.frexp(beta)
+    mantissa, e_next = math.frexp(m / m_beta)  # one rounding, as share / beta has in range
+    e_next += e - e_beta
+    _, e_top = math.frexp(max(shares))
+    power = min(-e_next, 960 - e_top)
+    shares[:] = [math.ldexp(s, power) for s in shares]
+    share = math.ldexp(mantissa, e_next + power)
+    if share < _SHARE_LOW:
+        raise NumericError("load fraction below 2**-1919 of the largest; rate spread too extreme for double precision")
+    return share
 
 
 def simulate_timeline(rates: TimeRates, alpha, load_gb: float) -> TimingProfile:

@@ -82,6 +82,17 @@ class TestComputeMetrics:
         assert scaled.mae_s == pytest.approx(k * m.mae_s, rel=1e-12)
         assert scaled.rmse_s == pytest.approx(k * m.rmse_s, rel=1e-12)
 
+    def test_errors_beyond_the_targets_spread_give_minus_infinite_r2(self):
+        # The centred targets' squares underflow to 0 and the errors' do not:
+        # the two sums are scaled apart and their ratio overflows.
+        m = compute_metrics([1.0, 3.0], [1e-170, 2e-170])
+        assert m.r2 == -math.inf
+        assert m.rmse_s == pytest.approx(math.sqrt(5.0), rel=1e-12)
+
+    def test_perfect_predictions_of_subnormal_spread_score_one(self):
+        # The scale ratio overflows, but there is no error to multiply.
+        assert compute_metrics([1e-310, 2e-310], [1e-310, 2e-310]).r2 == 1.0
+
 
 class TestStratify:
     def test_by_n_buckets_cover_range(self):

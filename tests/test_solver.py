@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dltsched import solver
 from dltsched.datagen import SamplerRanges
 from dltsched.errors import InvalidInputError, NumericError
 from dltsched.solver import (
@@ -195,7 +196,8 @@ class TestSolveOptimal:
         np.testing.assert_allclose(closed.alpha, linear.alpha, rtol=1e-9)
 
     def test_share_near_double_underflow_is_returned(self):
-        # Suffix products of 1e310 overflow as plain products; their logs do not.
+        # The last share is near 1e-310 of the root's, past the running
+        # share's lower bound of 2**-960, so it is reached through a rescale.
         rates = TimeRates(w0=1.0, w=(1.0, 1.0, 1.0), z=(0.0, 1e155, 1e155))
         closed = solve_optimal(rates, 1.0)
         assert 0 < closed.alpha[3] < 1e-308
@@ -254,6 +256,46 @@ class TestSolveOptimalProperty:
         shares = exact_shares(rates)
         assert closed.t_star == pytest.approx(float(shares[0] * Fraction(rates.w0) * Fraction(load)), rel=1e-9)
         np.testing.assert_allclose(closed.alpha, [float(s) for s in shares], rtol=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chained_rates())
+    def test_shares_are_accurate_to_1e_14(self, system):
+        rates, load = system
+        shares = [float(s) for s in exact_shares(rates)]
+        np.testing.assert_allclose(solve_optimal(rates, load).alpha, shares, rtol=1e-14, atol=0.0)
+
+
+def ladder(exponents, w0):
+    """Rates whose compute rates step by powers of two, w_i = w0 * 2**e_i,
+    with z_i = w_i / 8, so each beta is 9/16 or 9/4 and the share divisions
+    round."""
+    w = tuple(math.ldexp(w0, e) for e in exponents)
+    return TimeRates(w0=w0, w=w, z=tuple(x / 8 for x in w))
+
+
+class TestRescaledChain:
+    """Chains whose running share passes 2**960 or 2**-960, so every share
+    so far is rescaled by a power of two, some of them in both directions.
+    Each spans about 2**1000 between its largest and smallest share."""
+
+    @pytest.mark.parametrize(
+        "rates, rescales",
+        [
+            pytest.param(ladder(range(-1, -1201, -1), 2.0**600), 1, id="rising"),
+            pytest.param(ladder(range(1, 851), 2.0**-425), 1, id="falling"),
+            pytest.param(ladder([*range(-1, -1161, -1), *range(-1159, -329)], 2.0**600), 2, id="rising-then-falling"),
+            pytest.param(ladder([*range(1, 851), *range(849, -351, -1)], 2.0**-425), 2, id="falling-then-rising"),
+        ],
+    )
+    def test_matches_exact_shares(self, monkeypatch, rates, rescales):
+        calls = []
+        rescale = solver._rescale
+        monkeypatch.setattr(solver, "_rescale", lambda *args: calls.append(args) or rescale(*args))
+        closed = solve_optimal(rates, 3.0)
+        shares = exact_shares(rates)
+        assert len(calls) >= rescales
+        np.testing.assert_allclose(closed.alpha, [float(s) for s in shares], rtol=1e-14, atol=0.0)
+        assert closed.t_star == pytest.approx(float(shares[0] * Fraction(rates.w0) * 3), rel=1e-14)
 
 
 class TestSimulateTimeline:
