@@ -47,8 +47,6 @@ from .solver import (
     SltnConfig,
     TimeRates,
     TimingProfile,
-    beta_coefficients,
-    oracle_solve,
     parse_system,
     simulate_timeline,
     solve_optimal,

@@ -100,6 +100,12 @@ def _print_json(**fields) -> None:
     print(codec.dumps(fields).decode())
 
 
+def _error_size(seconds: float) -> str:
+    """Three decimals, or six significant digits from 1e16 s on, where the
+    decimals would run to dozens of digits."""
+    return f"{seconds:.3f}" if seconds < 1e16 else f"{seconds:.6g}"
+
+
 def cmd_solve(args) -> int:
     config = _config_from_args(args)
     rates = solver.to_time_rates(config, args.compute_intensity)
@@ -208,8 +214,8 @@ def cmd_evaluate(args) -> int:
     else:
         print(f"count = {metrics.count} ({args.split} split)")
         print(f"R2    = {metrics.r2:.6f}")
-        print(f"MAE   = {metrics.mae_s:.3f} s")
-        print(f"RMSE  = {metrics.rmse_s:.3f} s")
+        print(f"MAE   = {_error_size(metrics.mae_s)} s")
+        print(f"RMSE  = {_error_size(metrics.rmse_s)} s")
         print(f"MAPE  = {metrics.mape_pct:.3f} %")
     if args.out:
         files = evaluation.emit_plot_data(args.out, subset, predictions, train_report)

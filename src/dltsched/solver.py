@@ -198,16 +198,6 @@ def to_time_rates(config: SltnConfig, compute_intensity: float = DEFAULT_COMPUTE
     )
 
 
-def beta_coefficients(rates: TimeRates) -> list[float]:
-    """Per-child ratios (z_i + w_i) / w_{i-1} linking consecutive equal-finish shares."""
-    w_prev = rates.w0
-    betas = []
-    for w_i, z_i in zip(rates.w, rates.z):
-        betas.append((z_i + w_i) / w_prev)
-        w_prev = w_i
-    return betas
-
-
 # Bounds of the running share in solve_optimal: a step by any beta in the
 # double range from inside them is recovered by _rescale.
 _SHARE_LOW = 2.0**-960
@@ -317,15 +307,16 @@ def oracle_solve(rates: TimeRates, load_gb: float) -> LoadAllocation:
     """The equal-finish allocation of :func:`solve_optimal`, by direct
     linear-system solution; like it, not optimal in general.
 
-    Independent check on the closed form: builds the n simultaneous-finish
-    equalities plus load conservation as an (n+1)x(n+1) system and solves it
-    by Gaussian elimination, never touching the beta/suffix-product route.
+    It builds the n simultaneous-finish equalities plus load conservation
+    as an (n+1)x(n+1) system and solves it by Gaussian elimination, never
+    touching the product chain. It is kept for the benchmark alone, which
+    checks the closed form against it and times it as a reference cost; the
+    tests check the closed form against exact rational arithmetic.
 
     Its shares are accurate in absolute terms only. When betas fall below 1
     along the chain, small shares miss in relative terms: w0 = 1, w = (0.5,
-    0.0078125, 1.22e-4, 1.43e-6, 4.47e-8, 4.47e-8), z = 0 is 1.25e-9 off the
-    exact fractions, and 14 children with w falling from 0.0117 to 1.3e-17
-    give a share of -6.4e-19 and ``NumericError``.
+    0.0078125, 1.22e-4, 1.43e-6, 4.47e-8, 4.47e-8), z = 0 is 1.23e-9 off the
+    exact fractions.
     """
     if not 0.0 < load_gb < math.inf:
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,20 @@ from dltsched import datagen, mlp
 DESK_SEED = 7
 DESK_COUNT = 20_000
 DESK_INTENSITY = 10_000.0
+
+
+def exact_solve(rates, load_gb) -> tuple[tuple[float, ...], float]:
+    """The equal-finish shares (root first) and makespan T*, solved in
+    rational arithmetic from the finish-time equalities
+    alpha_i (z_i + w_i) = alpha_{i-1} w_{i-1} and conservation, then each
+    rounded once to the nearest double: the reference for every exact answer."""
+    shares = [Fraction(1)]
+    w_prev = Fraction(rates.w0)
+    for w, z in zip(rates.w, rates.z):
+        shares.append(shares[-1] * w_prev / (Fraction(z) + Fraction(w)))
+        w_prev = Fraction(w)
+    total = sum(shares)
+    return tuple(float(s / total) for s in shares), float(shares[0] / total * Fraction(rates.w0) * Fraction(load_gb))
 
 
 def desk_train_config(seed: int = DESK_SEED) -> mlp.TrainConfig:

@@ -15,13 +15,12 @@ import pytest
 from dltsched import cli, datagen, evaluation, mlp
 from dltsched.solver import (
     TimeRates,
-    oracle_solve,
     simulate_timeline,
     solve_optimal,
     to_time_rates,
 )
 
-from conftest import DESK_INTENSITY, desk_train_config
+from conftest import DESK_INTENSITY, desk_train_config, exact_solve
 
 
 def report_line(number: int, ok: bool, detail: str) -> None:
@@ -30,7 +29,7 @@ def report_line(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def solver_sweep():
-    """1,000 seeded random configurations solved by both routes."""
+    """1,000 seeded random configurations solved in closed form and exactly."""
     rng = np.random.default_rng(20_240_001)
     cases = []
     started = time.perf_counter()
@@ -38,22 +37,21 @@ def solver_sweep():
         config = datagen.sample_config(rng)
         rates = to_time_rates(config)
         closed = solve_optimal(rates, config.load_gb)
-        linear = oracle_solve(rates, config.load_gb)
-        cases.append((rates, config.load_gb, closed, linear))
+        cases.append((rates, config.load_gb, closed, exact_solve(rates, config.load_gb)))
     elapsed = time.perf_counter() - started
     return cases, elapsed
 
 
 class TestSolverCriteria:
-    def test_1_oracle_equivalence(self, solver_sweep):
+    def test_1_exact_equivalence(self, solver_sweep):
         cases, elapsed = solver_sweep
         worst = 0.0
-        for _, _, closed, linear in cases:
-            worst = max(worst, abs(closed.t_star - linear.t_star) / linear.t_star)
-            for a, b in zip(closed.alpha, linear.alpha):
+        for _, _, closed, (shares, t_star) in cases:
+            worst = max(worst, abs(closed.t_star - t_star) / t_star)
+            for a, b in zip(closed.alpha, shares):
                 worst = max(worst, abs(a - b) / b)
         ok = worst <= 1e-9 and elapsed < 5.0
-        report_line(1, ok, f"oracle equivalence: worst rel diff {worst:.2e} over 1000 configs in {elapsed:.2f}s")
+        report_line(1, ok, f"exact equivalence: worst rel diff {worst:.2e} over 1000 configs in {elapsed:.2f}s")
         assert worst <= 1e-9
         assert elapsed < 5.0
 
@@ -72,10 +70,9 @@ class TestSolverCriteria:
         cases, _ = solver_sweep
         worst_sum = 0.0
         min_alpha = 1.0
-        for _, _, closed, linear in cases:
-            for alloc in (closed, linear):
-                worst_sum = max(worst_sum, abs(math.fsum(alloc.alpha) - 1.0))
-                min_alpha = min(min_alpha, min(alloc.alpha))
+        for _, _, closed, _ in cases:
+            worst_sum = max(worst_sum, abs(math.fsum(closed.alpha) - 1.0))
+            min_alpha = min(min_alpha, min(closed.alpha))
         ok = worst_sum <= 1e-12 and min_alpha > 0.0
         report_line(3, ok, f"conservation/positivity: |sum-1| <= {worst_sum:.2e}, min alpha {min_alpha:.2e}")
         assert worst_sum <= 1e-12

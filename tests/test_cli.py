@@ -214,7 +214,9 @@ class TestTrainCommand:
     def test_labels_whose_squares_overflow_train_and_evaluate(self, capsys, tmp_path):
         # Speeds near 1e-200 give makespans near 1e204, beyond the square
         # root of the double range; their std is still finite, and so are
-        # the RMSE and R2 of the model's answers.
+        # the RMSE and R2 of the model's answers. From 1e16 s on, the human
+        # format prints MAE and RMSE to six significant digits, where three
+        # decimals would run to over 200 digits.
         data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
         ranges = ["--n-range", "3", "4", "--speed-range", "1e-200", "2e-200"]
         assert run(capsys, "generate", "--count", "60", "--seed", "1", "--out", str(data), *ranges)[0] == 0
@@ -227,6 +229,8 @@ class TestTrainCommand:
         assert math.isfinite(payload["rmse_s"]) and math.isfinite(payload["r2"])
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == "evaluating 60 records (all split)\n" and "inf" not in out and "nan" not in out
+        assert payload["mae_s"] >= 1e16
+        assert out.splitlines()[2:4] == [f"MAE   = {payload['mae_s']:.6g} s", f"RMSE  = {payload['rmse_s']:.6g} s"]
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -322,6 +326,19 @@ class TestEvaluateCommand:
         assert payload["split"] == "test"
         assert payload["count"] == 8  # 10% of 80
         assert set(payload) == {"split", "count", "r2", "mae_s", "rmse_s", "mape_pct"}
+
+    def test_human_output_matches_machine(self, capsys, tiny_pipeline):
+        argv = ["evaluate", "--model", str(tiny_pipeline["model"]), "--data", str(tiny_pipeline["data"])]
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(run(capsys, *argv, "--format", "machine")[1])
+        assert code == 0
+        assert out.splitlines() == [
+            f"count = {payload['count']} (test split)",
+            f"R2    = {payload['r2']:.6f}",
+            f"MAE   = {payload['mae_s']:.3f} s",
+            f"RMSE  = {payload['rmse_s']:.3f} s",
+            f"MAPE  = {payload['mape_pct']:.3f} %",
+        ]
 
     def test_plot_tables_written(self, capsys, tmp_path, tiny_pipeline):
         out_dir = tmp_path / "plots"

@@ -20,9 +20,9 @@ from dltsched.datagen import (
     split_dataset,
 )
 from dltsched.errors import FileFormatError, InvalidInputError, StratificationError
-from dltsched.solver import SltnConfig, oracle_solve, to_time_rates
+from dltsched.solver import SltnConfig, to_time_rates
 
-from conftest import dataset_of
+from conftest import dataset_of, exact_solve
 
 
 def make_config(n, speeds, bws, root=5.0, load=10.0):
@@ -125,11 +125,10 @@ class TestGenerateDataset:
         assert a.configs == b.configs
         assert np.array_equal(a.features, b.features) and np.array_equal(a.t_star, b.t_star)
 
-    def test_labels_replay_through_oracle(self):
+    def test_labels_replay_exactly(self):
         dataset = generate_dataset(50, seed=3)
         for config, t_star in zip(dataset.configs, dataset.t_star):
-            replay = oracle_solve(to_time_rates(config, 100.0), config.load_gb)
-            assert replay.t_star == pytest.approx(t_star, rel=1e-9)
+            assert exact_solve(to_time_rates(config, 100.0), config.load_gb)[1] == pytest.approx(t_star, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70], ids=["negative", "2**64", "2**70"])
     def test_seed_must_fit_64_bits(self, seed):

@@ -1,6 +1,5 @@
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +13,14 @@ from dltsched.solver import (
     LoadAllocation,
     SltnConfig,
     TimeRates,
-    beta_coefficients,
     oracle_solve,
     simulate_timeline,
     solve_optimal,
     to_time_rates,
 )
+
+from conftest import exact_solve
+
 
 # Table-range random rates reused by the sweep tests.
 def random_rates(rng, n=None):
@@ -115,19 +116,6 @@ class TestRangeChecks:
             LoadAllocation(alpha=(value, math.nan), t_star_norm=1.0, t_star=1.0)
 
 
-class TestBetaCoefficients:
-    def test_free_link(self):
-        assert beta_coefficients(TimeRates(w0=1.0, w=(1.0,), z=(0.0,))) == [1.0]
-
-    def test_homogeneous(self):
-        assert beta_coefficients(TimeRates(w0=1.0, w=(1.0, 1.0), z=(1.0, 1.0))) == [2.0, 2.0]
-
-    def test_hand_evaluated_chain(self):
-        # beta_1 = (1+4)/2, beta_2 = (2+8)/4
-        rates = TimeRates(w0=2.0, w=(4.0, 8.0), z=(1.0, 2.0))
-        assert beta_coefficients(rates) == [2.5, 2.5]
-
-
 class TestSolveOptimal:
     def test_free_link_splits_evenly(self):
         alloc = solve_optimal(TimeRates(w0=1.0, w=(1.0,), z=(0.0,)), 1.0)
@@ -188,12 +176,11 @@ class TestSolveOptimal:
         with pytest.raises(InvalidInputError):
             solve_optimal(rates, 0.0)
 
-    def test_large_n_matches_oracle(self):
+    def test_large_n_matches_exact_solve(self):
         rng = np.random.default_rng(11)
         rates, load = random_rates(rng, n=18)
         closed = solve_optimal(rates, load)
-        linear = oracle_solve(rates, load)
-        np.testing.assert_allclose(closed.alpha, linear.alpha, rtol=1e-9)
+        np.testing.assert_allclose(closed.alpha, exact_solve(rates, load)[0], rtol=1e-9)
 
     def test_share_near_double_underflow_is_returned(self):
         # The last share is near 1e-310 of the root's, past the running
@@ -201,7 +188,7 @@ class TestSolveOptimal:
         rates = TimeRates(w0=1.0, w=(1.0, 1.0, 1.0), z=(0.0, 1e155, 1e155))
         closed = solve_optimal(rates, 1.0)
         assert 0 < closed.alpha[3] < 1e-308
-        np.testing.assert_allclose(closed.alpha, oracle_solve(rates, 1.0).alpha, rtol=1e-9)
+        np.testing.assert_allclose(closed.alpha, exact_solve(rates, 1.0)[0], rtol=1e-9)
 
     def test_beta_outside_double_range_raises_numeric_error(self):
         # beta_1 = 1e-200 / 1e200 underflows to zero.
@@ -232,37 +219,21 @@ def chained_rates(draw):
     return TimeRates(w0=1.0, w=tuple(w), z=tuple(z)), draw(st.floats(1.0, 100.0))
 
 
-def exact_shares(rates):
-    """Optimal shares in rational arithmetic, straight from the finish-time
-    equalities alpha_i (z_i + w_i) = alpha_{i-1} w_{i-1} and conservation."""
-    shares = [Fraction(1)]
-    w_prev = Fraction(rates.w0)
-    for w, z in zip(rates.w, rates.z):
-        shares.append(shares[-1] * w_prev / (Fraction(z) + Fraction(w)))
-        w_prev = Fraction(w)
-    total = sum(shares)
-    return [s / total for s in shares]
-
-
 class TestSolveOptimalProperty:
-    # Compared with exact arithmetic, not oracle_solve: Gaussian elimination
-    # loses relative accuracy on the smallest shares when betas fall below 1
-    # along a long chain (1.2e-9 at n=6 with betas near 0.016).
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(chained_rates())
     def test_matches_exact_shares(self, system):
         rates, load = system
         closed = solve_optimal(rates, load)
-        shares = exact_shares(rates)
-        assert closed.t_star == pytest.approx(float(shares[0] * Fraction(rates.w0) * Fraction(load)), rel=1e-9)
-        np.testing.assert_allclose(closed.alpha, [float(s) for s in shares], rtol=1e-9)
+        shares, t_star = exact_solve(rates, load)
+        assert closed.t_star == pytest.approx(t_star, rel=1e-9)
+        np.testing.assert_allclose(closed.alpha, shares, rtol=1e-9)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(chained_rates())
     def test_shares_are_accurate_to_1e_14(self, system):
         rates, load = system
-        shares = [float(s) for s in exact_shares(rates)]
-        np.testing.assert_allclose(solve_optimal(rates, load).alpha, shares, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(solve_optimal(rates, load).alpha, exact_solve(rates, load)[0], rtol=1e-14, atol=0.0)
 
 
 def ladder(exponents, w0):
@@ -292,10 +263,10 @@ class TestRescaledChain:
         rescale = solver._rescale
         monkeypatch.setattr(solver, "_rescale", lambda *args: calls.append(args) or rescale(*args))
         closed = solve_optimal(rates, 3.0)
-        shares = exact_shares(rates)
+        shares, t_star = exact_solve(rates, 3.0)
         assert len(calls) >= rescales
-        np.testing.assert_allclose(closed.alpha, [float(s) for s in shares], rtol=1e-14, atol=0.0)
-        assert closed.t_star == pytest.approx(float(shares[0] * Fraction(rates.w0) * 3), rel=1e-14)
+        np.testing.assert_allclose(closed.alpha, shares, rtol=1e-14, atol=0.0)
+        assert closed.t_star == pytest.approx(t_star, rel=1e-14)
 
 
 class TestSimulateTimeline:
@@ -360,14 +331,25 @@ class TestOracleSolve:
         alloc = oracle_solve(TimeRates(w0=1.0, w=(1.0, 1.0), z=(1.0, 1.0)), 1.0)
         np.testing.assert_allclose(alloc.alpha, [4 / 7, 2 / 7, 1 / 7], rtol=1e-12)
 
-    def test_equivalent_to_closed_form(self):
+    def test_matches_exact_solve(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             rates, load = random_rates(rng)
-            closed = solve_optimal(rates, load)
             linear = oracle_solve(rates, load)
-            assert closed.t_star == pytest.approx(linear.t_star, rel=1e-9)
-            np.testing.assert_allclose(closed.alpha, linear.alpha, rtol=1e-9)
+            shares, t_star = exact_solve(rates, load)
+            assert linear.t_star == pytest.approx(t_star, rel=1e-9)
+            np.testing.assert_allclose(linear.alpha, shares, rtol=1e-9)
+
+    def test_small_shares_are_accurate_in_absolute_terms_only(self):
+        # The chain of the docstring: betas fall below 1 along it, and
+        # Gaussian elimination misses its smallest shares by about 1.2e-9 of
+        # themselves, where the product chain misses by about 1e-16.
+        rates = TimeRates(w0=1.0, w=(0.5, 0.0078125, 1.22e-4, 1.43e-6, 4.47e-8, 4.47e-8), z=(0.0,) * 6)
+        shares = exact_solve(rates, 1.0)[0]
+        np.testing.assert_allclose(solve_optimal(rates, 1.0).alpha, shares, rtol=1e-14, atol=0.0)
+        linear = oracle_solve(rates, 1.0).alpha
+        np.testing.assert_allclose(linear, shares, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(linear, shares, rtol=0.0, atol=1e-15)
 
 
 @st.composite
@@ -398,7 +380,7 @@ class TestInvariants:
                 w=(*rates.w, float(rng.uniform(100 / 15, 100))),
                 z=(*rates.z, float(rng.uniform(1000 / 150, 100))),
             )
-            assert oracle_solve(extended, load).t_star < oracle_solve(rates, load).t_star
+            assert solve_optimal(extended, load).t_star < solve_optimal(rates, load).t_star
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(default_box_systems(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e6))
