@@ -77,6 +77,16 @@ def test_the_command_line_imports_no_numpy():
     assert "numpy" not in absolute_imports(PACKAGE / "cli.py")
 
 
+def test_the_package_exports_one_solve_path():
+    # The closed form is the one public solve; the linear-system oracle stays
+    # in the solver module as the benchmark's reference alone.
+    from dltsched import solver
+
+    assert dltsched.solve_optimal is solver.solve_optimal
+    assert not hasattr(dltsched, "oracle_solve") and callable(solver.oracle_solve)
+    assert not hasattr(dltsched, "beta_coefficients") and not hasattr(solver, "beta_coefficients")
+
+
 def test_every_error_type_is_raised():
     # A type no code raises is dead: callers would catch it, and docs name
     # it, for a failure that never comes. A base class is raised through

@@ -127,6 +127,17 @@ class TestSolveOptimal:
         np.testing.assert_allclose(alloc.alpha, [4 / 7, 2 / 7, 1 / 7], rtol=1e-12)
         assert alloc.t_star == pytest.approx(4 / 7, rel=1e-12)
 
+    def test_hand_evaluated_chain(self):
+        # Each share is the previous one over (z_i + w_i) / w_{i-1}, here
+        # (1+4)/2 and (2+8)/4, both 2.5: shares 1 : 0.4 : 0.16, that is
+        # 25 : 10 : 4 over 39, and T* = alpha_0 w0 load = 50/39 for one GB.
+        rates = TimeRates(w0=2.0, w=(4.0, 8.0), z=(1.0, 2.0))
+        alloc = solve_optimal(rates, 1.0)
+        shares, t_star = exact_solve(rates, 1.0)
+        np.testing.assert_allclose(alloc.alpha, [25 / 39, 10 / 39, 4 / 39], rtol=1e-15)
+        assert shares == (25 / 39, 10 / 39, 4 / 39)
+        assert alloc.t_star == pytest.approx(50 / 39, rel=1e-15) and t_star == 50 / 39
+
     def test_zero_communication_limit_is_harmonic(self):
         # As z -> 0 the star acts like one pooled processor: 1 / sum(1/w_j).
         rates = TimeRates(w0=1.0, w=(2.0, 4.0), z=(1e-12, 1e-12))
