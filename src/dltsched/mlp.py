@@ -5,17 +5,21 @@ mini-batches, and early stopping on validation MSE. This module holds the
 surrogate's whole map from features to seconds: the z-score ``train`` fits
 and the bundle carries, the network, the inverse z-score and the compute
 lower bound, on arrays in ``predict_features`` and on one row in
-``predict``. Weights are float32 from training through the bundle to
-inference: ``train`` rounds its initial weights and z-scored rows to
-float32, ``save_model`` refuses any other precision and ``load_model``
-returns float32. ``forward``, ``backward`` and ``adam_step`` compute in the
-precision of the weights they are given. Validation MSE, the inverse
-z-score and the compute bound stay float64. Training is bit-deterministic
-given the seed.
+``predict``. The parameters have one layout: a flat buffer holding every
+weight matrix, then every bias vector, each in C order. Gradients, Adam's
+moments and the bundle's ``params`` list share it. Weights are float32 from
+training through the bundle to inference: ``train`` rounds its initial
+weights and z-scored rows to float32, ``save_model`` refuses any other
+precision and ``load_model`` returns float32. ``forward``, ``backward`` and
+``adam_step`` compute in the precision of the arrays they are given.
+Validation MSE, the inverse z-score and the compute bound stay float64.
+Training is bit-deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,14 +33,12 @@ from .errors import FileFormatError, InvalidInputError, NumericError, TrainingDi
 from .solver import SltnConfig
 
 MODEL_FORMAT = "dltsched-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 DEFAULT_LAYER_DIMS = (16, 128, 64, 32, 1)
 EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to an infinite float32
 _OUTSIDE = "the system is outside the surrogate's range"
-_WEIGHT_SHAPES = [(out_d, in_d) for in_d, out_d in zip(DEFAULT_LAYER_DIMS[:-1], DEFAULT_LAYER_DIMS[1:])]
-_BIAS_SHAPES = [(out_d,) for out_d in DEFAULT_LAYER_DIMS[1:]]
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator guard
 
@@ -44,57 +46,49 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and de
 _N, _LOAD_GB, _MEAN_W, _W0 = (FEATURE_NAMES.index(name) for name in ("n", "load_gb", "mean_w", "w0"))
 
 
+@functools.lru_cache
+def _layout(layer_dims: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) in the flat buffer of each weight matrix, shape
+    (dims[k+1], dims[k]), then of each bias vector, shape (dims[k+1],)."""
+    shapes = [(d_out, d_in) for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:])]
+    shapes += [(d_out,) for d_out in layer_dims[1:]]
+    stops = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+    return tuple(zip([0, *stops[:-1]], stops, shapes))
+
+
 @dataclass
 class MlpParams:
-    """Layer weights and biases; weights[k] has shape (dims[k+1], dims[k]).
+    """The network's parameters: one buffer ``flat`` and the ``layer_dims``
+    that lay it out.
 
-    Every array is a view of one buffer ``flat``, which holds every weight
-    matrix, then every bias vector, each in C order, so an optimizer updates
-    all of them with whole-buffer operations. Gradients share this layout.
-    Arrays passed to the constructor are copied into a fresh float64 buffer.
+    ``flat`` holds every weight matrix, then every bias vector, each in C
+    order, so an optimizer updates all of them with whole-buffer operations.
+    ``weights[k]``, shape (dims[k+1], dims[k]), and ``biases[k]`` are views
+    of it. A ``flat`` that is not a vector of the length the dims give
+    raises :class:`InvalidInputError`.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(repr=False)
+    layer_dims: tuple[int, ...]
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        self._bind(np.concatenate([a.ravel() for a in (*self.weights, *self.biases)]))
-
-    def _bind(self, flat: np.ndarray) -> None:
-        """Make ``flat`` the buffer and the arrays consecutive views of it,
-        keeping the arrays' shapes."""
-        views = []
-        start = 0
-        for a in (*self.weights, *self.biases):
-            stop = start + a.size
-            views.append(flat[start:stop].reshape(a.shape))
-            start = stop
-        n_weights = len(self.weights)
-        self.flat, self.weights, self.biases = flat, views[:n_weights], views[n_weights:]
-
-    def _on_buffer(self, flat: np.ndarray) -> "MlpParams":
-        """Arrays shaped like these, as views of ``flat``."""
-        twin = MlpParams.__new__(MlpParams)
-        twin.weights, twin.biases = self.weights, self.biases
-        twin._bind(flat)
-        return twin
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
-
-    def param_count(self) -> int:
-        return self.flat.size
+        self.layer_dims = tuple(self.layer_dims)
+        layout = _layout(self.layer_dims)
+        if self.flat.shape != (layout[-1][1],):
+            raise InvalidInputError(
+                f"layer dimensions {self.layer_dims} take {layout[-1][1]} parameters, got shape {self.flat.shape}"
+            )
+        views = [self.flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        self.weights, self.biases = views[: len(views) // 2], views[len(views) // 2 :]
 
     def copy(self) -> "MlpParams":
-        return self._on_buffer(self.flat.copy())
+        return MlpParams(self.flat.copy(), self.layer_dims)
 
     def astype(self, dtype) -> "MlpParams":
         """A copy with every weight and bias rounded to ``dtype``."""
-        return self._on_buffer(self.flat.astype(dtype))
+        return MlpParams(self.flat.astype(dtype), self.layer_dims)
 
 
 @dataclass(frozen=True)
@@ -187,15 +181,11 @@ def init_params(seed, layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS) -> MlpPa
     """He-normal weights (variance 2/fan_in), zero biases, deterministic in
     ``seed``, an integer or a ``SeedSequence``."""
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    params = MlpParams(weights, biases)
-    if tuple(layer_dims) == DEFAULT_LAYER_DIMS:
-        assert params.param_count() == EXPECTED_PARAM_COUNT
-    return params
+    weights = [
+        rng.normal(0.0, math.sqrt(2.0 / fan_in), size=fan_out * fan_in)
+        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:])
+    ]
+    return MlpParams(np.concatenate([*weights, np.zeros(sum(layer_dims[1:]))]), layer_dims)
 
 
 def forward(params: MlpParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -245,7 +235,7 @@ def backward(params: MlpParams, inputs: list[np.ndarray], residuals) -> MlpParam
     """
     residuals = np.asarray(residuals, dtype=params.flat.dtype)
     dout = (2.0 / residuals.shape[0]) * residuals[:, None]
-    grads = params._on_buffer(np.empty_like(params.flat))
+    grads = MlpParams(np.empty_like(params.flat), params.layer_dims)
     for k in range(len(params.weights) - 1, -1, -1):
         np.matmul(dout.T, inputs[k], out=grads.weights[k])
         dout.sum(axis=0, out=grads.biases[k])
@@ -258,40 +248,24 @@ def backward(params: MlpParams, inputs: list[np.ndarray], residuals) -> MlpParam
     return grads
 
 
-@dataclass
-class AdamState:
-    """First and second moments, laid out like ``MlpParams.flat`` and in its
-    precision."""
+def adam_step(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, learning_rate: float) -> None:
+    """Adam's ``t``-th update (from 1) with bias-corrected moments, in place
+    on the parameters ``flat`` and the moments ``m`` and ``v``, all laid out
+    like ``grad``.
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, params: MlpParams) -> "AdamState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
-
-
-def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, learning_rate: float
-) -> tuple[MlpParams, AdamState]:
-    """One Adam update with bias-corrected moments. Mutates params and state.
-
-    Works on the flat buffers, in the operation order of
+    Works on the whole buffers, in the operation order of
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so every element gets
     the bits a per-array update would give it.
     """
-    state.t += 1
-    correct1 = 1.0 - ADAM_BETA1**state.t
-    correct2 = 1.0 - ADAM_BETA2**state.t
-    g, m, v = grads.flat, state.m, state.v
-    step = np.empty_like(g)
-    denom = np.empty_like(g)
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
+    step = np.empty_like(grad)
+    denom = np.empty_like(grad)
     m *= ADAM_BETA1
-    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
     m += step
     v *= ADAM_BETA2
-    np.square(g, out=step)
+    np.square(grad, out=step)
     step *= 1.0 - ADAM_BETA2
     v += step
     np.divide(m, correct1, out=step)
@@ -300,8 +274,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    params.flat -= step
-    return params, state
+    flat -= step
 
 
 def _z_features(norm: NormalizationStats, rows) -> np.ndarray:
@@ -352,7 +325,8 @@ def train(
     init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
     params = init_params(init_ss).astype(np.float32)
     rng = np.random.default_rng(shuffle_ss)
-    state = AdamState.zeros(params)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    steps = 0
 
     n_train = x_train.shape[0]
     best_params = params.copy()
@@ -373,7 +347,8 @@ def train(
             preds, inputs = forward(params, x_epoch[start:stop])
             residuals = preds - y_epoch[start:stop]
             sq_sum += float(residuals @ residuals)
-            adam_step(params, backward(params, inputs, residuals), state, config.learning_rate)
+            steps += 1
+            adam_step(params.flat, backward(params, inputs, residuals).flat, m, v, steps, config.learning_rate)
         train_loss = sq_sum / n_train
         val_preds, _ = forward(params, x_val)
         val_loss = loss_mse(val_preds, y_val)
@@ -468,14 +443,8 @@ def save_model(path, model: MlpModel) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "layer_dims": list(DEFAULT_LAYER_DIMS),
-        "weights": model.params.weights,
-        "biases": model.params.biases,
-        "norm": {
-            "feature_means": list(model.norm.feature_means),
-            "feature_stds": list(model.norm.feature_stds),
-            "target_mean": model.norm.target_mean,
-            "target_std": model.norm.target_std,
-        },
+        "params": model.params.flat,
+        "norm": model.norm,
         "metadata": model.metadata,
     }
     Path(path).write_bytes(codec.dumps(payload) + b"\n")
@@ -494,17 +463,7 @@ def load_model(path) -> MlpModel:
     if not isinstance(layer_dims, list) or tuple(layer_dims) != DEFAULT_LAYER_DIMS:
         raise FileFormatError(f"{path}: unexpected layer dimensions {layer_dims!r}")
     try:
-        weights = [np.array(w) for w in obj["weights"]]
-        biases = [np.array(b) for b in obj["biases"]]
-        weight_shapes, bias_shapes = [w.shape for w in weights], [b.shape for b in biases]
-        if weight_shapes != _WEIGHT_SHAPES or bias_shapes != _BIAS_SHAPES:
-            raise FileFormatError(
-                f"{path}: weight shapes {weight_shapes} and bias shapes {bias_shapes} do not match "
-                f"{_WEIGHT_SHAPES} and {_BIAS_SHAPES}"
-            )
-        for rows in (*obj["weights"], obj["biases"]):  # every weight row, then every bias vector
-            for row in rows:
-                codec.numbers(row, what="weights and biases")
+        flat = np.array(codec.numbers(obj["params"], EXPECTED_PARAM_COUNT, "params"), dtype=float)
         stats = obj["norm"]
         norm = NormalizationStats(
             feature_means=tuple(codec.numbers(stats["feature_means"], what="feature_means")),
@@ -515,10 +474,9 @@ def load_model(path) -> MlpModel:
         metadata = ModelMetadata(**obj["metadata"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed model bundle: {exc}") from exc
-    params = MlpParams(weights, biases)
     # Checked before the cast, which would overflow to inf. The bound is where
     # rounding reaches inf, not float32's largest value: that value's shortest
     # spelling, 3.4028235e38, parses to a float64 above it.
-    if not (np.abs(params.flat) < _FLOAT32_OVERFLOW).all():
+    if not (np.abs(flat) < _FLOAT32_OVERFLOW).all():
         raise FileFormatError(f"{path}: a weight or bias beyond float32's range")
-    return MlpModel(params=params.astype(np.float32), norm=norm, metadata=metadata)
+    return MlpModel(params=MlpParams(flat.astype(np.float32), DEFAULT_LAYER_DIMS), norm=norm, metadata=metadata)

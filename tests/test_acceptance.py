@@ -93,7 +93,7 @@ class TestSolverCriteria:
 
 class TestNetworkCriteria:
     def test_5_parameter_count(self):
-        count = mlp.init_params(0).param_count()
+        count = mlp.init_params(0).flat.size
         ok = count == 12_545
         report_line(5, ok, f"parameter count: {count}")
         assert ok

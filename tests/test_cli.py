@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,9 @@ from dltsched.errors import InvalidInputError
 from dltsched.solver import parse_system
 
 from conftest import constant_model
+
+# Each weight's and bias's index in a bundle's flat "params" list.
+_AT = mlp.MlpParams(np.arange(mlp.EXPECTED_PARAM_COUNT), mlp.DEFAULT_LAYER_DIMS)
 
 
 def run(capsys, *argv):
@@ -246,7 +250,7 @@ class TestTrainCommand:
 
     def test_model_is_loadable(self, tiny_pipeline):
         model = mlp.load_model(tiny_pipeline["model"])
-        assert model.params.param_count() == 12_545
+        assert model.params.flat.size == 12_545
         assert model.metadata == mlp.ModelMetadata(
             train_seed=1, split_seed=1, dataset_hash=model.metadata.dataset_hash, compute_intensity=100.0
         )
@@ -530,8 +534,8 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "where, value, message",
         [
-            (("weights", 1, 0, 3), float("nan"), "unexpected character"),
-            (("biases", 3, 0), float("inf"), "unexpected character"),
+            (("params", _AT.weights[1][0, 3]), float("nan"), "unexpected character"),
+            (("params", _AT.biases[3][0]), float("inf"), "unexpected character"),
             (("norm", "feature_stds", 2), float("nan"), "unexpected character"),
             (("norm", "target_std"), float("nan"), "unexpected character"),
             (("norm", "feature_means", 0), float("nan"), "unexpected character"),
@@ -542,14 +546,17 @@ class TestPredictCommand:
             (("metadata", "compute_intensity"), "100", "compute_intensity"),
             (("metadata", "compute_intensity"), float("inf"), "unexpected character"),
             (("metadata", "compute_intensity"), True, "compute_intensity"),
-            (("biases", 0), [[0.0]] * 128, "bias shapes"),
-            (("weights", 0, 5, 2), 1e39, "float32"),
-            (("version",), 1, "unsupported model version"),
+            (("params", _AT.biases[0][0]), [0.0], "12545 JSON numbers"),
+            (("params",), [0.0] * 12_544, "12545 JSON numbers"),
+            (("params",), [0.0] * 12_546, "12545 JSON numbers"),
+            (("params", _AT.weights[0][5, 2]), 1e39, "float32"),
+            (("version",), 1, "unsupported model version 1"),
+            (("version",), 2, "unsupported model version 2"),
             (("metadata", "split_seed"), "x", "split_seed"),
             (("metadata", "split_seed"), [1], "split_seed"),
             (("metadata", "split_seed"), -1, "split_seed"),
-            (("weights", 2, 7, 4), "0.5", "JSON numbers"),
-            (("biases", 1, 9), True, "JSON numbers"),
+            (("params", _AT.weights[2][7, 4]), "0.5", "JSON numbers"),
+            (("params", _AT.biases[1][9]), True, "JSON numbers"),
             (("norm", "target_std"), "324.0", "target_std"),
             (("norm", "feature_stds", 0), 0.0, "standard deviation"),
             (("norm", "target_std"), 0.0, "standard deviation"),
@@ -570,9 +577,12 @@ class TestPredictCommand:
             "quoted-intensity",
             "infinite-intensity",
             "boolean-intensity",
-            "column-bias",
+            "list-bias",
+            "params-one-short",
+            "params-one-long",
             "weight-beyond-float32",
             "version-1",
+            "version-2",
             "text-split-seed",
             "list-split-seed",
             "negative-split-seed",
@@ -609,22 +619,12 @@ class TestPredictCommand:
 # float32, so it is bad only where the weights are.
 _UNREADABLE = [float("nan"), float("inf"), float("-inf"), "abc", "0.5", True, None, 10**400]
 _WEIGHT_VALUES = [*_UNREADABLE, 1e39, -1e39]
-_DIMS = mlp.DEFAULT_LAYER_DIMS
 _REQUIRED_KEYS = [
-    *[(key,) for key in ("format", "version", "layer_dims", "weights", "biases", "norm", "metadata")],
+    *[(key,) for key in ("format", "version", "layer_dims", "params", "norm", "metadata")],
     *[("norm", key) for key in ("feature_means", "feature_stds", "target_mean", "target_std")],
     ("metadata", "compute_intensity"),
 ]
-_LISTS = [
-    ("layer_dims",),
-    ("weights",),
-    ("biases",),
-    ("norm", "feature_means"),
-    ("norm", "feature_stds"),
-    *[("weights", k) for k in range(4)],
-    *[("biases", k) for k in range(4)],
-    *[("weights", k, 0) for k in range(4)],
-]
+_LISTS = [("layer_dims",), ("params",), ("norm", "feature_means"), ("norm", "feature_stds")]
 
 
 @st.composite
@@ -636,10 +636,8 @@ def bundle_mutations(draw):
     """
     kind = draw(st.sampled_from(["weight", "norm", "intensity", "drop", "resize"]))
     if kind == "weight":
-        k = draw(st.integers(0, 3))
-        row = draw(st.integers(0, _DIMS[k + 1] - 1))
-        path = draw(st.sampled_from([("weights", k, row, draw(st.integers(0, _DIMS[k] - 1))), ("biases", k, row)]))
-        return "set", path, draw(st.sampled_from(_WEIGHT_VALUES))
+        array = draw(st.sampled_from([*_AT.weights, *_AT.biases])).ravel()
+        return "set", ("params", int(array[draw(st.integers(0, array.size - 1))])), draw(st.sampled_from(_WEIGHT_VALUES))
     if kind == "norm":
         path = draw(
             st.sampled_from(

@@ -10,7 +10,6 @@ from dltsched.errors import FileFormatError, InvalidInputError, NumericError, Tr
 from dltsched.mlp import (
     DEFAULT_LAYER_DIMS,
     EXPECTED_PARAM_COUNT,
-    AdamState,
     MlpModel,
     MlpParams,
     ModelMetadata,
@@ -104,7 +103,7 @@ def concat_bytes(arrays):
 
 class TestInitParams:
     def test_parameter_count(self):
-        assert init_params(0).param_count() == EXPECTED_PARAM_COUNT == 12_545
+        assert init_params(0).flat.size == EXPECTED_PARAM_COUNT == 12_545
 
     def test_deterministic(self):
         a, b = init_params(7), init_params(7)
@@ -122,7 +121,7 @@ class TestInitParams:
 
     def test_layer_dims(self):
         assert init_params(0).layer_dims == DEFAULT_LAYER_DIMS
-        assert init_params(0, (16, 4, 3, 2, 1)).param_count() == 16 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2 + 2 + 1
+        assert init_params(0, (16, 4, 3, 2, 1)).flat.size == 16 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2 + 2 + 1
 
 
 class TestForward:
@@ -284,7 +283,7 @@ class TestBackward:
 class TestFlatParams:
     def test_arrays_are_views_of_flat(self):
         params = init_params(0, (4, 3, 1))
-        assert params.flat.size == params.param_count() == 4 * 3 + 3 + 3 + 1
+        assert params.flat.size == 4 * 3 + 3 + 3 + 1
         params.flat[:] = np.arange(params.flat.size)
         assert params.weights[0].tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
         assert params.weights[1].tolist() == [[12, 13, 14]]
@@ -302,13 +301,38 @@ class TestFlatParams:
         assert twin.flat[0] != params.flat[0] and not params.biases[0].any()
         assert np.shares_memory(twin.weights[0], twin.flat)
 
-    def test_hand_built_arrays_are_copied_into_flat(self):
-        w, b = np.array([[1.0, 2.0]]), np.array([3.0])
-        params = MlpParams(weights=[w], biases=[b])
-        assert params.flat.tolist() == [1.0, 2.0, 3.0]
-        assert not np.shares_memory(params.flat, w) and not np.shares_memory(params.flat, b)
+    def test_arrays_are_views_of_the_given_buffer(self):
+        flat = np.array([1.0, 2.0, 3.0])
+        params = MlpParams(flat, (2, 1))
+        assert params.flat is flat
+        assert params.weights[0].tolist() == [[1.0, 2.0]] and params.biases[0].tolist() == [3.0]
         params.weights[0][0, 0] = 5.0
-        assert w[0, 0] == 1.0 and params.flat[0] == 5.0
+        assert flat[0] == 5.0
+
+    @pytest.mark.parametrize("size", [18, 20, 0])
+    def test_buffer_of_wrong_length_is_refused(self, size):
+        with pytest.raises(InvalidInputError, match=r"layer dimensions \(4, 3, 1\) take 19 parameters"):
+            MlpParams(np.zeros(size), (4, 3, 1))
+
+    def test_bundle_params_are_the_flat_layout(self, tmp_path):
+        # Per-layer float32 arrays, hand-built: the bundle's params list is
+        # every weight matrix in C order, then every bias vector, and it
+        # loads back with the same bits. Only the production architecture
+        # is bundlable, so the arrays have its shapes.
+        rng = np.random.default_rng(41)
+        dims = DEFAULT_LAYER_DIMS
+        weights = [rng.normal(size=(d_out, d_in)).astype(np.float32) for d_in, d_out in zip(dims[:-1], dims[1:])]
+        biases = [rng.normal(size=d_out).astype(np.float32) for d_out in dims[1:]]
+        expected = np.concatenate([w.ravel() for w in weights] + biases)
+        params = MlpParams(expected.copy(), dims)
+        for got, want in zip([*params.weights, *params.biases], [*weights, *biases], strict=True):
+            assert got.tobytes() == want.tobytes()
+        path = tmp_path / "model.json"
+        save_model(path, MlpModel(params=params, norm=IDENTITY_NORM, metadata=TOY_META))
+        bundle = json.loads(path.read_text())
+        assert bundle["version"] == 3 and len(bundle["params"]) == EXPECTED_PARAM_COUNT
+        assert np.array(bundle["params"], dtype=np.float32).tobytes() == expected.tobytes()
+        assert load_model(path).params.flat.tobytes() == expected.tobytes()
 
 
 class TestAdam:
@@ -318,7 +342,7 @@ class TestAdam:
         # gradients bit-equal.
         rng = np.random.default_rng(29)
         params = init_params(29, (16, 8, 4, 1))
-        state = AdamState.zeros(params)
+        m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         ref = [a.copy() for a in (*params.weights, *params.biases)]
         ref_m = [np.zeros_like(a) for a in ref]
         ref_v = [np.zeros_like(a) for a in ref]
@@ -330,34 +354,31 @@ class TestAdam:
             grads = backward(params, inputs, preds - y)
             ref_grads = reference_backward(ref[:3], ref_inputs, ref_masks, ref_preds - y)
             assert grads.flat.tobytes() == concat_bytes(ref_grads)
-            adam_step(params, grads, state, 0.01)
+            adam_step(params.flat, grads.flat, m, v, step, 0.01)
             reference_adam_step(ref, ref_grads, ref_m, ref_v, step, 0.01)
-        assert state.t == 50
         assert params.flat.tobytes() == concat_bytes(ref)
-        assert state.m.tobytes() == concat_bytes(ref_m)
-        assert state.v.tobytes() == concat_bytes(ref_v)
+        assert m.tobytes() == concat_bytes(ref_m)
+        assert v.tobytes() == concat_bytes(ref_v)
 
     def test_zero_gradient_is_noop(self):
         params = init_params(0, (4, 3, 1))
         before = params.copy()
         grads = backward(params, forward(params, np.zeros((1, 4)))[1], np.zeros(1))
-        adam_step(params, grads, AdamState.zeros(params), 0.001)
-        for w0, w1 in zip(before.weights, params.weights):
-            np.testing.assert_array_equal(w0, w1)
+        adam_step(params.flat, grads.flat, np.zeros_like(params.flat), np.zeros_like(params.flat), 1, 0.001)
+        np.testing.assert_array_equal(before.flat, params.flat)
 
     def test_constant_gradient_unit_step(self):
         # With a steady gradient the bias-corrected update settles at the
         # learning rate regardless of the gradient's magnitude.
-        params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-        state = AdamState.zeros(params)
-        grads = MlpParams(weights=[np.array([[3.0]])], biases=[np.array([0.0])])
+        flat, grad = np.array([1.0, 0.0]), np.array([3.0, 0.0])
+        m, v = np.zeros(2), np.zeros(2)
         lr = 0.01
-        prev = params.weights[0][0, 0]
+        prev = flat[0]
         step = None
-        for _ in range(500):
-            adam_step(params, grads, state, lr)
-            step = prev - params.weights[0][0, 0]
-            prev = params.weights[0][0, 0]
+        for t in range(1, 501):
+            adam_step(flat, grad, m, v, t, lr)
+            step = prev - flat[0]
+            prev = flat[0]
         assert step == pytest.approx(lr, rel=1e-3)
 
 
@@ -599,10 +620,9 @@ class TestModelBundle:
         model.params.weights[0][0, 0] = 0.1
         path = tmp_path / "model.json"
         save_model(path, model)
-        assert b"[[0.1," in path.read_bytes() and b"0.10000000149011612" not in path.read_bytes()
+        assert b'"params":[0.1,' in path.read_bytes() and b"0.10000000149011612" not in path.read_bytes()
         bundle = json.loads(path.read_text())
-        bundle["weights"] = [w.tolist() for w in model.params.weights]
-        bundle["biases"] = [b.tolist() for b in model.params.biases]
+        bundle["params"] = model.params.flat.tolist()
         old = tmp_path / "float64-spelling.json"
         old.write_text(json.dumps(bundle))
         assert b"0.10000000149011612" in old.read_bytes()
@@ -617,7 +637,7 @@ class TestModelBundle:
         path = tmp_path / "model.json"
         save_model(path, model)
         obj = json.loads(path.read_text())
-        obj["weights"][3] = [obj["weights"][3][0][:16]]  # wrong output layer shape
+        obj["params"] = obj["params"][:-1]  # one parameter short
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError):
             load_model(path)
