@@ -29,23 +29,22 @@ _REPORTED = ("count", "r2", "mae_s", "rmse_s", "mape_pct")  # the fields of a sp
 
 @dataclass(frozen=True)
 class HybridDecision:
-    """Outcome of the hybrid predictor: which path produced t_star."""
+    """Outcome of the hybrid predictor: the answer ``t_star``, the path that
+    produced it, and the surrogate's estimate (NaN outside its range)."""
 
     t_star: float
     source: str  # "ml" | "dlt-verified"
     ml_estimate: float
-    threshold: float
 
 
-def hybrid_predict(
-    model: mlp.MlpModel, config: solver.SltnConfig, threshold: float = DEFAULT_HYBRID_THRESHOLD
-) -> HybridDecision:
-    """ML estimate, exact-verified when it exceeds the confidence threshold.
+def hybrid_predict(model: mlp.MlpModel, config: solver.SltnConfig, threshold: float) -> HybridDecision:
+    """ML estimate, exact-verified when it exceeds ``threshold`` seconds.
 
     Above the threshold the surrogate's uncertainty is large enough that
     recomputing exactly is worth the cost, so the exact makespan is
     returned instead. A system outside the surrogate's range gets a NaN
-    estimate and is verified too.
+    estimate and is verified too. The threshold has no default: pick it on
+    the scale of the model's makespans, which the compute intensity sets.
     """
     try:
         ml_estimate = mlp.predict(model, config)
@@ -53,10 +52,8 @@ def hybrid_predict(
         ml_estimate = math.nan
     if not ml_estimate <= threshold:
         alloc = solver.solve_optimal(solver.to_time_rates(config, model.metadata.compute_intensity), config.load_gb)
-        return HybridDecision(
-            t_star=alloc.t_star, source="dlt-verified", ml_estimate=ml_estimate, threshold=threshold
-        )
-    return HybridDecision(t_star=ml_estimate, source="ml", ml_estimate=ml_estimate, threshold=threshold)
+        return HybridDecision(t_star=alloc.t_star, source="dlt-verified", ml_estimate=ml_estimate)
+    return HybridDecision(t_star=ml_estimate, source="ml", ml_estimate=ml_estimate)
 
 
 def _config_from_args(args) -> solver.SltnConfig:
@@ -154,17 +151,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = mlp.TrainConfig(patience=args.patience, max_epochs=args.max_epochs, seed=args.seed)
     header, dataset = datagen.load_dataset(args.data)
-    split_seed = args.split_seed if args.split_seed is not None else args.seed
-    train_set, val_set, _ = datagen.split_dataset(dataset, split_seed)
+    train_set, val_set, _ = datagen.split_dataset(dataset, args.seed)
     _progress(f"loaded {len(dataset)} records; {len(train_set)} train / {len(val_set)} val")
-    config = mlp.TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        patience=args.patience,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
-    )
     model, report = mlp.train(
         train_set.features,
         train_set.t_star,
@@ -172,7 +162,7 @@ def cmd_train(args) -> int:
         val_set.t_star,
         config,
         mlp.ModelMetadata(
-            train_seed=args.seed, split_seed=split_seed, dataset_hash=header.sha256, compute_intensity=header.compute_intensity
+            train_seed=args.seed, split_seed=args.seed, dataset_hash=header.sha256, compute_intensity=header.compute_intensity
         ),
         on_epoch=lambda e, tr, vl: _progress(f"epoch {e}: train {tr:.6f} val {vl:.6f}"),
     )
@@ -202,9 +192,9 @@ def cmd_evaluate(args) -> int:
         raise FileFormatError(
             f"model was trained on another dataset than {args.data}; pass --split all to score another dataset"
         )
-    split_seed = args.split_seed if args.split_seed is not None else model.metadata.split_seed
+    split_seed = model.metadata.split_seed
     if args.split != "all" and split_seed is None:
-        raise InvalidInputError("model metadata lacks split_seed; pass --split-seed or --split all")
+        raise InvalidInputError("model metadata lacks split_seed, so its splits are unknown; pass --split all")
     subset = dataset if args.split == "all" else datagen.split_dataset(dataset, split_seed)[_SPLITS.index(args.split)]
     _progress(f"evaluating {len(subset)} records ({args.split} split)")
     predictions = mlp.predict_features(model, subset.features)
@@ -245,11 +235,11 @@ def cmd_hybrid(args) -> int:
             t_star_s=decision.t_star,
             source=decision.source,
             ml_estimate_s=decision.ml_estimate,  # a NaN estimate, verified above, is written as null
-            threshold_s=decision.threshold,
+            threshold_s=args.threshold,
         )
     else:
         print(f"T* = {decision.t_star:.3f} s (source: {decision.source})")
-        print(f"ML estimate = {decision.ml_estimate:.3f} s, threshold = {decision.threshold:g} s")
+        print(f"ML estimate = {decision.ml_estimate:.3f} s, threshold = {args.threshold:g} s")
     return EXIT_OK
 
 
@@ -272,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--compute-intensity", type=float, default=solver.DEFAULT_COMPUTE_INTENSITY)
     defaults = datagen.SamplerRanges()
-    p.add_argument("--n-range", type=int, nargs=2, metavar=("MIN", "MAX"), default=defaults.n_range)
+    p.add_argument(
+        "--n-range", type=int, nargs=2, metavar=("MIN", "MAX"), default=defaults.n_range,
+        help=f"children per system, at most {datagen.MAX_N:,}",
+    )
     p.add_argument("--load-range", type=float, nargs=2, metavar=("MIN", "MAX"), default=defaults.load_range)
     p.add_argument("--speed-range", type=float, nargs=2, metavar=("MIN", "MAX"), default=defaults.speed_range)
     p.add_argument(
@@ -283,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the surrogate on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, help="defaults to --seed")
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--seed", type=int, default=0, help="seeds the initial weights, the batch order and the split")
     p.add_argument("--dropout", type=float, choices=(0.0,), default=0.0, help="only 0: the network has no dropout")
     p.add_argument("--patience", type=int, default=10)
     p.add_argument("--max-epochs", type=int, default=200)
@@ -296,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metrics and stratified analysis on a split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=(*_SPLITS, "all"), default="test")
-    p.add_argument("--split-seed", type=int, help="defaults to the model's recorded split seed")
+    p.add_argument("--split", choices=(*_SPLITS, "all"), default="test", help="split by the bundle's split_seed, or all")
     p.add_argument("--out", help="directory for plot tables")
     p.add_argument("--train-report", help="train report JSON for the loss-curve table")
     p.add_argument("--format", choices=("human", "machine"), default="human")

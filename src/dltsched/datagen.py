@@ -30,11 +30,15 @@ STD_CONVENTION = "population"  # divisor n in every std feature
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
 _MIN_STRATUM = 10
+MAX_N = 1_000_000  # children per system: 16 MB of speeds and bandwidths per record
 
 
 @dataclass(frozen=True)
 class SamplerRanges:
-    """Uniform sampling box for configurations."""
+    """Uniform sampling box for configurations. The bounds of ``n_range``
+    are integers, the largest at most ``MAX_N``; every bound is positive
+    and finite, and each pair in order. Any other box raises
+    :class:`InvalidInputError`."""
 
     n_range: tuple[int, int] = (3, 20)
     load_range: tuple[float, float] = (1.0, 100.0)
@@ -42,6 +46,8 @@ class SamplerRanges:
     bandwidth_range: tuple[float, float] = (10.0, 150.0)
 
     def __post_init__(self):
+        if not all(type(v) is int for v in self.n_range) or max(self.n_range) > MAX_N:
+            raise InvalidInputError(f"n_range must be two integers, neither above {MAX_N:,}, got {self.n_range}")
         for name, (lo, hi) in (
             ("n_range", self.n_range),
             ("load_range", self.load_range),
@@ -397,7 +403,7 @@ def load_dataset(path) -> tuple[DatasetHeader, Dataset]:
     try:
         bounds = head["ranges"]
         ranges = SamplerRanges(
-            n_range=tuple(codec.integer(v, "an n bound") for v in codec.numbers(bounds["n"], 2, "n range")),
+            n_range=tuple(codec.numbers(bounds["n"], 2, "n range")),
             load_range=tuple(codec.numbers(bounds["load_gb"], 2, "load_gb range")),
             speed_range=tuple(codec.numbers(bounds["speed"], 2, "speed range")),
             bandwidth_range=tuple(codec.numbers(bounds["bandwidth"], 2, "bandwidth range")),

@@ -28,15 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .datagen import FEATURE_NAMES, NormalizationStats, extract_features, fit_normalization, labeled_rows
+from .datagen import FEATURE_NAMES, N_FEATURES, NormalizationStats, extract_features, fit_normalization, labeled_rows
 from .errors import FileFormatError, InvalidInputError, NumericError, TrainingDivergedError
 from .solver import SltnConfig
 
 MODEL_FORMAT = "dltsched-model"
 MODEL_VERSION = 3
 
-DEFAULT_LAYER_DIMS = (16, 128, 64, 32, 1)
-EXPECTED_PARAM_COUNT = 12_545  # 16*128+128 + 128*64+64 + 64*32+32 + 32+1
+DEFAULT_LAYER_DIMS = (N_FEATURES, 128, 64, 32, 1)
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to an infinite float32
 _OUTSIDE = "the system is outside the surrogate's range"
 
@@ -54,6 +53,9 @@ def _layout(layer_dims: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...
     shapes += [(d_out,) for d_out in layer_dims[1:]]
     stops = list(itertools.accumulate(math.prod(shape) for shape in shapes))
     return tuple(zip([0, *stops[:-1]], stops, shapes))
+
+
+EXPECTED_PARAM_COUNT = _layout(DEFAULT_LAYER_DIMS)[-1][1]
 
 
 @dataclass

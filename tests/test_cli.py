@@ -52,8 +52,6 @@ def tiny_pipeline(tmp_path_factory):
                 "1",
                 "--max-epochs",
                 "3",
-                "--batch-size",
-                "16",
                 "--report",
                 str(report),
             ]
@@ -208,8 +206,7 @@ class TestTrainCommand:
     def test_dataset_with_a_constant_column_trains_and_evaluates(self, capsys, tmp_path, count, ranges, per_n_rows):
         data, model, plots = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "plots"
         assert run(capsys, "generate", "--count", count, "--seed", "3", "--out", str(data), *ranges)[0] == 0
-        argv = ["train", "--data", str(data), "--out", str(model), "--max-epochs", "2", "--batch-size", "64"]
-        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "train", "--data", str(data), "--out", str(model), "--max-epochs", "2")[0] == 0
         assert run(capsys, "evaluate", "--model", str(model), "--data", str(data), "--out", str(plots))[0] == 0
         if per_n_rows is not None:
             rows = (plots / "per_n_errors.csv").read_text().splitlines()[1:]
@@ -238,8 +235,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "flag, message",
-        [("--batch-size", "batch size must be >= 1"), ("--patience", "patience must be >= 1"),
-         ("--max-epochs", "max epochs must be >= 1")],
+        [("--patience", "patience must be >= 1"), ("--max-epochs", "max epochs must be >= 1")],
     )
     def test_zero_train_setting_is_usage_error(self, capsys, tmp_path, tiny_pipeline, flag, message):
         model = tmp_path / "m.json"
@@ -284,6 +280,7 @@ class TestTrainCommand:
             (3, "t_star", float("nan"), ":4: malformed record"),
             (3, "features", [float("nan")] + [1.0] * 15, ":4: malformed record"),
             (0, "std_convention", "sample", "std_convention"),
+            (0, "ranges", {"n": [3, datagen.MAX_N + 1], "load_gb": [1, 2], "speed": [1, 2], "bandwidth": [1, 2]}, "n_range"),
         ],
         ids=[
             "negative-intensity",
@@ -293,6 +290,7 @@ class TestTrainCommand:
             "nan-t-star",
             "nan-feature",
             "sample-std",
+            "n-above-the-maximum",
         ],
     )
     def test_bad_dataset_value_is_data_error(self, capsys, tmp_path, tiny_pipeline, line, key, value, message):
@@ -435,8 +433,17 @@ class TestEvaluateCommand:
             assert code == 2
             assert err.splitlines()[-1].startswith("error: ") and "needs --out" in err
 
+    def test_split_is_the_one_the_bundle_records(self, capsys, tmp_path, tiny_pipeline):
+        data, model, plots = tiny_pipeline["data"], tmp_path / "model.json", tmp_path / "plots"
+        assert run(capsys, "train", "--data", str(data), "--out", str(model), "--seed", "7", "--max-epochs", "1")[0] == 0
+        argv = ["evaluate", "--model", str(model), "--data", str(data), "--split", "test", "--out", str(plots)]
+        assert run(capsys, *argv)[0] == 0
+        rows = (plots / "pred_vs_actual.csv").read_text().splitlines()[1:]
+        test = datagen.split_dataset(datagen.load_dataset(data)[1], 7)[2]
+        assert [float(row.split(",")[0]) for row in rows] == test.t_star.tolist()
+
     @pytest.mark.parametrize("drop", [False, True], ids=["null", "absent"])
-    def test_bundle_without_split_seed_needs_flag(self, capsys, tmp_path, tiny_pipeline, drop):
+    def test_bundle_without_split_seed_scores_only_all(self, capsys, tmp_path, tiny_pipeline, drop):
         bundle = json.loads(tiny_pipeline["model"].read_text())
         if drop:
             del bundle["metadata"]["split_seed"]
@@ -445,9 +452,10 @@ class TestEvaluateCommand:
         model = tmp_path / "model.json"
         model.write_text(json.dumps(bundle))
         argv = ["evaluate", "--model", str(model), "--data", str(tiny_pipeline["data"]), "--format", "machine"]
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and "lacks split_seed" in err
-        assert run(capsys, *argv, "--split-seed", "1")[0] == 0
+        code, out, err = run(capsys, *argv, "--split", "test")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: model metadata lacks split_seed") and "--split all" in err
+        assert run(capsys, *argv, "--split", "all")[0] == 0
 
     def test_intensity_mismatch_is_data_error(self, capsys, tmp_path, tiny_pipeline):
         other = tmp_path / "other.jsonl"
@@ -777,7 +785,7 @@ class TestHybrid:
         config = solver.SltnConfig(
             n=2, root_speed=10.0, child_speeds=child_speeds, link_bandwidths=(100.0, 25.0), load_gb=load_gb
         )
-        decision = hybrid_predict(mlp.load_model(tiny_pipeline["model"]), config)
+        decision = hybrid_predict(mlp.load_model(tiny_pipeline["model"]), config, threshold=1e12)
         assert decision.source == "dlt-verified" and math.isnan(decision.ml_estimate)
         assert decision.t_star == solver.solve_optimal(solver.to_time_rates(config, 100.0), load_gb).t_star
 
@@ -791,13 +799,10 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         ["generate", "--count", "5", "--seed", "-1", "--out", "{out}"],
         ["generate", "--count", "5", "--seed", str(2**70), "--out", "{out}"],
         ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--load-range", "1", "inf"],
-        ["train", "--data", "{data}", "--out", "{out}", "--seed", "-1", "--split-seed", "1"],
-        ["train", "--data", "{data}", "--out", "{out}", "--split-seed", "-3"],
-        ["train", "--data", "{data}", "--out", "{out}", "--seed", str(2**64), "--split-seed", "1"],
-        ["train", "--data", "{data}", "--out", "{out}", "--split-seed", str(2**64)],
-        ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "nan"],
-        ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "inf"],
-        ["evaluate", "--model", "{model}", "--data", "{data}", "--split-seed", "-2"],
+        ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--n-range", "3", str(2**63 - 1)],
+        ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--n-range", "100000000000", "100000000000"],
+        ["train", "--data", "{data}", "--out", "{out}", "--seed", "-1"],
+        ["train", "--data", "{data}", "--out", "{out}", "--seed", str(2**64)],
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "inf", "--child", "5:100"],
         ["predict", "--model", "{model}", "--config", "{config}"],
@@ -810,13 +815,10 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         "generate-negative-seed",
         "generate-seed-beyond-64-bits",
         "generate-infinite-load-range",
+        "generate-n-beyond-any-array",
+        "generate-n-beyond-memory",
         "train-negative-seed",
-        "train-negative-split-seed",
         "train-seed-beyond-64-bits",
-        "train-split-seed-beyond-64-bits",
-        "train-nan-learning-rate",
-        "train-infinite-learning-rate",
-        "evaluate-negative-split-seed",
         "predict-nan-load",
         "predict-infinite-load",
         "predict-nan-load-in-config",
@@ -833,6 +835,30 @@ def test_bad_value_is_usage_error(capsys, tmp_path, tiny_pipeline, argv):
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "{data}", "--out", "{out}", "--split-seed", "1"],
+        ["train", "--data", "{data}", "--out", "{out}", "--learning-rate", "0.01"],
+        ["train", "--data", "{data}", "--out", "{out}", "--batch-size", "64"],
+        ["evaluate", "--model", "{model}", "--data", "{data}", "--split-seed", "7"],
+    ],
+    ids=["train-split-seed", "train-learning-rate", "train-batch-size", "evaluate-split-seed"],
+)
+def test_removed_flag_is_unrecognized(capsys, tmp_path, tiny_pipeline, argv):
+    # train splits with --seed and trains at TrainConfig's defaults;
+    # evaluate splits with the bundle's split_seed.
+    paths = {"out": tmp_path / "out", "data": tiny_pipeline["data"], "model": tiny_pipeline["model"]}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert not paths["out"].exists()
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert argv[-2] not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

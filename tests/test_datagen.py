@@ -66,6 +66,22 @@ class TestSampleConfig:
         assert 1.0 <= min(loads) and max(loads) < 100.0
 
 
+class TestSamplerRanges:
+    def test_largest_system_size_is_the_named_maximum(self):
+        assert SamplerRanges(n_range=(3, datagen.MAX_N)).n_range == (3, 1_000_000)
+        with pytest.raises(InvalidInputError, match="n_range"):
+            SamplerRanges(n_range=(3, datagen.MAX_N + 1))
+
+    @pytest.mark.parametrize(
+        "n_range",
+        [(1.5, 3.5), (3, 4.0), (True, 3)],
+        ids=["fractions", "float-max", "boolean-min"],
+    )
+    def test_refuses_an_n_bound_it_cannot_draw(self, n_range):
+        with pytest.raises(InvalidInputError, match="n_range"):
+            SamplerRanges(n_range=n_range)
+
+
 class TestExtractFeatures:
     def test_homogeneous_children(self):
         f = extract_features(make_config(4, [5.0] * 4, [50.0] * 4, root=5.0, load=10.0))
@@ -344,7 +360,7 @@ class TestDatasetFiles:
     @given(
         seed=st.integers(0, 2**64 - 1),
         intensity=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 2**64 - 1),
-        n_range=st.tuples(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1)).map(sorted),
+        n_range=st.tuples(st.integers(1, datagen.MAX_N), st.integers(1, datagen.MAX_N)).map(sorted),
         load_range=st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)).map(sorted),
     )
     def test_header_round_trips(self, tmp_path_factory, seed, intensity, n_range, load_range):

@@ -476,6 +476,20 @@ class TestTrain:
             TrainConfig(seed=seed)
 
     @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"learning_rate": float("nan")}, "learning rate must be positive and finite, got nan"),
+            ({"learning_rate": float("inf")}, "learning rate must be positive and finite, got inf"),
+            ({"batch_size": 0}, "batch size must be >= 1, got 0"),
+        ],
+        ids=["nan-learning-rate", "infinite-learning-rate", "zero-batch-size"],
+    )
+    def test_rejects_a_setting_it_cannot_train_with(self, setting, message):
+        with pytest.raises(InvalidInputError) as exc:
+            TrainConfig(**setting)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "edit, which",
         [
             (lambda x_tr, y_tr, x_val, y_val: (x_tr[:0], y_tr[:0], x_val, y_val), "training"),

@@ -11,8 +11,6 @@ import pytest
 import dltsched
 from dltsched import mlp
 
-tomllib = pytest.importorskip("tomllib")
-
 PACKAGE = Path(dltsched.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 README = PACKAGE.parents[1] / "README.md"
@@ -53,6 +51,7 @@ def third_party_imports() -> set[str]:
 
 
 def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11; the other tests here run on 3.10
     declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
     names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower() for requirement in declared}
     imported = third_party_imports()
