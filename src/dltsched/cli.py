@@ -44,8 +44,11 @@ def hybrid_predict(model: mlp.MlpModel, config: solver.SltnConfig, threshold: fl
     recomputing exactly is worth the cost, so the exact makespan is
     returned instead. A system outside the surrogate's range gets a NaN
     estimate and is verified too. The threshold has no default: pick it on
-    the scale of the model's makespans, which the compute intensity sets.
+    the scale of the model's makespans, which the compute intensity sets. A
+    threshold that is not a finite number raises :class:`InvalidInputError`.
     """
+    if not math.isfinite(threshold):
+        raise InvalidInputError(f"threshold must be a finite number of seconds, got {threshold}")
     try:
         ml_estimate = mlp.predict(model, config)
     except NumericError:
@@ -225,8 +228,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    if not math.isfinite(args.threshold):
-        raise InvalidInputError(f"--threshold must be a finite number of seconds, got {args.threshold}")
     model = mlp.load_model(args.model)
     config = _config_from_args(args)
     decision = hybrid_predict(model, config, args.threshold)

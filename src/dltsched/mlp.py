@@ -39,6 +39,7 @@ DEFAULT_LAYER_DIMS = (N_FEATURES, 128, 64, 32, 1)
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to an infinite float32
 _OUTSIDE = "the system is outside the surrogate's range"
 
+LEARNING_RATE, BATCH_SIZE = 0.001, 256
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator guard
 
 # Feature columns of the compute lower bound on the makespan.
@@ -95,19 +96,14 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters."""
+    """The settings of one training run. Every run takes Adam steps of
+    :data:`LEARNING_RATE` on batches of :data:`BATCH_SIZE`."""
 
-    learning_rate: float = 0.001
-    batch_size: int = 256
     patience: int = 10
     max_epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise InvalidInputError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise InvalidInputError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
@@ -253,30 +249,13 @@ def backward(params: MlpParams, inputs: list[np.ndarray], residuals) -> MlpParam
 def adam_step(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, learning_rate: float) -> None:
     """Adam's ``t``-th update (from 1) with bias-corrected moments, in place
     on the parameters ``flat`` and the moments ``m`` and ``v``, all laid out
-    like ``grad``.
-
-    Works on the whole buffers, in the operation order of
-    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so every element gets
-    the bits a per-array update would give it.
-    """
-    correct1 = 1.0 - ADAM_BETA1**t
-    correct2 = 1.0 - ADAM_BETA2**t
-    step = np.empty_like(grad)
-    denom = np.empty_like(grad)
+    like ``grad``. Every element gets the bits a per-array update would
+    give it."""
     m *= ADAM_BETA1
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-    m += step
+    m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
-    np.square(grad, out=step)
-    step *= 1.0 - ADAM_BETA2
-    v += step
-    np.divide(m, correct1, out=step)
-    step *= learning_rate
-    np.divide(v, correct2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step /= denom
-    flat -= step
+    v += (1.0 - ADAM_BETA2) * np.square(grad)
+    flat -= learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
 
 
 def _z_features(norm: NormalizationStats, rows) -> np.ndarray:
@@ -312,8 +291,9 @@ def train(
     weights, so the returned weights are float32. The reported losses are
     MSE in the z-scored space; validation MSE is taken in float64 against
     the unrounded targets. ``config.seed`` spawns two streams: one draws the
-    initial weights, the other shuffles the rows each epoch. Uses the final
-    partial batch, evaluates validation MSE after every epoch, and stops
+    initial weights, the other shuffles the rows each epoch. Takes Adam
+    steps of :data:`LEARNING_RATE` on batches of :data:`BATCH_SIZE` rows, the
+    last one partial, evaluates validation MSE after every epoch, and stops
     once validation loss has not improved for ``config.patience`` epochs.
     ``on_epoch`` is an optional progress callback taking (epoch, train_loss,
     val_loss). ``metadata`` goes into the bundle as it is.
@@ -331,11 +311,8 @@ def train(
     steps = 0
 
     n_train = x_train.shape[0]
-    best_params = params.copy()
     best_val = math.inf
     best_epoch = 0
-    stall = 0
-    stopped_early = False
     train_losses: list[float] = []
     val_losses: list[float] = []
     started = time.perf_counter()
@@ -344,13 +321,13 @@ def train(
         perm = rng.permutation(n_train)
         x_epoch, y_epoch = x_train[perm], y_train[perm]
         sq_sum = 0.0
-        for start in range(0, n_train, config.batch_size):
-            stop = start + config.batch_size
+        for start in range(0, n_train, BATCH_SIZE):
+            stop = start + BATCH_SIZE
             preds, inputs = forward(params, x_epoch[start:stop])
             residuals = preds - y_epoch[start:stop]
             sq_sum += float(residuals @ residuals)
             steps += 1
-            adam_step(params.flat, backward(params, inputs, residuals).flat, m, v, steps, config.learning_rate)
+            adam_step(params.flat, backward(params, inputs, residuals).flat, m, v, steps, LEARNING_RATE)
         train_loss = sq_sum / n_train
         val_preds, _ = forward(params, x_val)
         val_loss = loss_mse(val_preds, y_val)
@@ -360,25 +337,20 @@ def train(
         val_losses.append(val_loss)
         if on_epoch is not None:
             on_epoch(epoch, train_loss, val_loss)
+        # Epoch 1 always improves on inf: a loss that is not finite raised above.
         if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            best_epoch = epoch
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
-                stopped_early = True
-                break
+            best_val, best_epoch, best_params = val_loss, epoch, params.copy()
+        elif epoch - best_epoch >= config.patience:
+            break
 
     report = TrainReport(
-        epochs_run=len(val_losses),
+        epochs_run=epoch,
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,
         best_val_loss=best_val,
         wall_seconds=time.perf_counter() - started,
-        stopped_early=stopped_early,
+        stopped_early=epoch - best_epoch >= config.patience,
     )
     model = MlpModel(params=best_params, norm=norm, metadata=metadata)
     return model, report

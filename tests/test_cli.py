@@ -727,6 +727,11 @@ class TestHybrid:
             sources.add(decision.source)
         assert sources == {"ml", "dlt-verified"}
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_threshold_that_is_not_finite_is_refused(self, threshold):
+        with pytest.raises(InvalidInputError, match=f"^threshold must be a finite number of seconds, got {threshold}$"):
+            hybrid_predict(constant_model(1.0, compute_intensity=100.0), self.config(), threshold)
+
     def test_surrogate_branch_is_bounded(self):
         config = self.config()
         decision = hybrid_predict(constant_model(-5.0, compute_intensity=100.0), config, threshold=1e12)
@@ -806,6 +811,7 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "inf", "--child", "5:100"],
         ["predict", "--model", "{model}", "--config", "{config}"],
+        ["solve", "--config", "{system}", "--root-speed", "10"],
         ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
         ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "nan"],
         ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "inf"],
@@ -822,6 +828,7 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         "predict-nan-load",
         "predict-infinite-load",
         "predict-nan-load-in-config",
+        "solve-config-and-inline-flags",
         "hybrid-nan-load",
         "hybrid-nan-threshold",
         "hybrid-infinite-threshold",
@@ -831,7 +838,15 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
 def test_bad_value_is_usage_error(capsys, tmp_path, tiny_pipeline, argv):
     config = tmp_path / "system.txt"
     config.write_text("root_speed 10\nload_gb nan\nchild 5 100\n")
-    paths = {"out": tmp_path / "out", "data": tiny_pipeline["data"], "model": tiny_pipeline["model"], "config": config}
+    system = tmp_path / "valid-system.txt"  # answerable alone, so only the inline flags beside it are wrong
+    system.write_text("root_speed 10\nload_gb 50\nchild 5 100\n")
+    paths = {
+        "out": tmp_path / "out",
+        "data": tiny_pipeline["data"],
+        "model": tiny_pipeline["model"],
+        "config": config,
+        "system": system,
+    }
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith("error: ")
@@ -848,8 +863,8 @@ def test_bad_value_is_usage_error(capsys, tmp_path, tiny_pipeline, argv):
     ids=["train-split-seed", "train-learning-rate", "train-batch-size", "evaluate-split-seed"],
 )
 def test_removed_flag_is_unrecognized(capsys, tmp_path, tiny_pipeline, argv):
-    # train splits with --seed and trains at TrainConfig's defaults;
-    # evaluate splits with the bundle's split_seed.
+    # train splits with --seed and trains at mlp.LEARNING_RATE on batches of
+    # mlp.BATCH_SIZE; evaluate splits with the bundle's split_seed.
     paths = {"out": tmp_path / "out", "data": tiny_pipeline["data"], "model": tiny_pipeline["model"]}
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])

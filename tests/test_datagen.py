@@ -262,6 +262,10 @@ class TestSplitDataset:
         with pytest.raises(StratificationError):
             split_dataset(dataset, seed=0)
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(InvalidInputError, match="^cannot split an empty dataset$"):
+            split_dataset(self.dataset_with_n({3: 10}).take([]), seed=0)
+
 
 class TestNormalization:
     def test_fits_column_means_and_population_stds(self):
