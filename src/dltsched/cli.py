@@ -22,7 +22,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DEFAULT_HYBRID_THRESHOLD = 5000.0  # seconds
 _SPLITS = ("train", "val", "test")  # in the order split_dataset returns them
 _REPORTED = ("count", "r2", "mae_s", "rmse_s", "mape_pct")  # the fields of a split's row evaluate prints
 
@@ -111,9 +110,11 @@ def cmd_solve(args) -> int:
     rates = solver.to_time_rates(config, args.compute_intensity)
     alloc = solver.solve_optimal(rates, config.load_gb)
     profile = solver.simulate_timeline(rates, alloc.alpha, config.load_gb)
+    unloaded = alloc.alpha[1:].count(0.0)
     if args.format == "machine":
         _print_json(
             n=config.n,
+            unloaded_children=unloaded,
             alpha=list(alloc.alpha),
             t_star_s=alloc.t_star,
             t_star_norm_s_per_gb=alloc.t_star_norm,
@@ -125,6 +126,8 @@ def cmd_solve(args) -> int:
     print(f"alpha[0] (root) = {alloc.alpha[0]:.9f}")
     for i, a in enumerate(alloc.alpha[1:], 1):
         print(f"alpha[{i}] = {a:.9f}")
+    if unloaded:
+        print(f"{unloaded} of {config.n} children get no load: their shares are below the double range")
     print(f"T* = {alloc.t_star:.9f} s ({alloc.t_star_norm:.9f} s/GB)")
     print(f"finish: root computes until {profile.compute_finish[0]:.9f} s")
     for i in range(config.n):
@@ -305,10 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=float,
-        default=DEFAULT_HYBRID_THRESHOLD,
-        help="absolute seconds above which the estimate is verified exactly; the default 5000 is above every "
-        "makespan of the default sampling box at intensity 100 (at most 3,256 s at seed 7), so it verifies "
-        "only surrogate overestimates",
+        required=True,
+        help="absolute seconds above which the estimate is verified exactly; pick it on the scale of the model's "
+        "makespans, which the compute intensity sets",
     )
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.set_defaults(func=cmd_hybrid)

@@ -15,7 +15,8 @@ while computing its own share. The model assumes:
 The solver computes the split at which every processor, with the children
 served in the given order, finishes at the same instant: a chain of pairwise
 recursions with a closed-form solution. That split is not optimal in
-general, even for the given order (see :func:`solve_optimal`).
+general, even for the given order (see :func:`solve_optimal`, which also
+states its scope: every n up to ``datagen.MAX_N`` of the default box).
 
 All rates here are in time form: seconds per GB of load, for both compute
 (w) and transmission (z). Index 0 always refers to the root.
@@ -24,6 +25,7 @@ All rates here are in time form: seconds per GB of load, for both compute
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ MB_PER_GB = 1000.0
 DEFAULT_COMPUTE_INTENSITY = 100.0  # GFLOP of work per GB of load
 
 _NUMBERS_PER_LINE = {"root_speed": 1, "load_gb": 1, "child": 2}  # in a system description
+_TINY = sys.float_info.min  # 2**-1022, the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,9 @@ class LoadAllocation:
 
     ``alpha[0]`` is the root's share. ``t_star_norm`` is the makespan of a
     unit (1 GB) load in s/GB; ``t_star`` is the makespan of the full load in
-    seconds.
+    seconds. Every share is in [0, 1]: 0.0 for a processor whose share is
+    below the double range, 1.0 for one whose partners' shares are all below
+    half an ulp of it.
     """
 
     alpha: tuple[float, ...]
@@ -121,10 +126,8 @@ class LoadAllocation:
         if abs(total - 1.0) > 1e-12:
             raise NumericError(f"load fractions sum to {total!r}, expected 1")
         for a in self.alpha:
-            if not 0.0 < a < 1.0:
-                raise NumericError(
-                    f"load fraction {a!r} outside (0, 1); rate spread too extreme for double precision"
-                )
+            if not 0.0 <= a <= 1.0:
+                raise NumericError(f"load fraction {a!r} outside [0, 1]")
         if not 0.0 < self.t_star_norm < math.inf:
             raise NumericError(f"non-finite or non-positive makespan {self.t_star_norm!r}")
         if not 0 < self.t_star < math.inf:
@@ -198,12 +201,6 @@ def to_time_rates(config: SltnConfig, compute_intensity: float = DEFAULT_COMPUTE
     )
 
 
-# Bounds of the running share in solve_optimal: a step by any beta in the
-# double range from inside them is recovered by _rescale.
-_SHARE_LOW = 2.0**-960
-_SHARE_HIGH = 2.0**960
-
-
 def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     """Closed-form equal-finish load split and makespan for a star network.
 
@@ -217,62 +214,58 @@ def solve_optimal(rates: TimeRates, load_gb: float) -> LoadAllocation:
     order, a share of 1e-6 for 8:40 and the two-child split of the rest
     finish at 152.344 s.
 
-    The share chain alpha_{i-1} w_{i-1} = alpha_i (z_i + w_i) is a product
-    chain: with the root's share set to 1, each child's share is the one
-    before it divided by beta_i = (z_i + w_i) / w_{i-1}, one forward pass
-    over the children. There is one route for every system: whenever the
-    running share leaves [2**-960, 2**960], every share so far is multiplied
-    by the same power of two, chosen so that the largest stays below 2**960,
-    so no product overflows whatever n; the multiplication is exact for
-    every share that stays in the normal range. The shares are then
-    normalised with an exact sum.
+    The finish-time equalities alpha_{k-1} w_{k-1} = alpha_k (z_k + w_k)
+    give child k a compute time of alpha_0 w0 c_k, where the discount
+    c_k = prod_{i<=k} w_i / (z_i + w_i) never grows: each child acts as a
+    processor slowed by the links ahead of it (Robertazzi's processor
+    equivalence). So child k's share is proportional to the part
+    c_{k-1} / (z_k + w_k), the root's to 1 / w0, and T* for 1 GB is one
+    over the parts' sum. One forward pass computes the parts, each discount
+    step dividing by (z_k + w_k) / w_k >= 1, and ``math.fsum`` adds them
+    exactly. The parts are scaled by the smaller of w0 and z_1 + w_1, so
+    that the first two are at most 1 and one of them is 1: their sum is at
+    least 1, and a part below the normal range is a share below it too.
 
-    Range: any system whose shares the double format holds as positive
-    numbers, i.e. down to about 5e-324 of the largest share (with fewer
-    significant digits below about 2e-308). A system whose smallest share
-    underflows to zero, or whose beta coefficient leaves the double range,
-    raises NumericError.
+    Range: every n up to ``datagen.MAX_N`` of the default sampling box has
+    an answer. A share below the double range is 0.0, and one whose
+    partners are all below half an ulp of it is 1.0. A system raises
+    NumericError when double precision cannot give T* and every normal
+    share to within rounding: a makespan below 2**-1022 s/GB, parts past
+    the double range (a compute rate near 1e-308), a discount step past the
+    double range, or a discount that falls below 2**-1022 ahead of a child
+    whose z + w is so small that its share could still be a normal number.
     """
     if not 0.0 < load_gb < math.inf:
         raise InvalidInputError(f"load must be positive and finite, got {load_gb}")
-    shares = [1.0]
-    share = 1.0
-    w_prev = rates.w0
-    for w_i, z_i in zip(rates.w, rates.z):
-        beta = (z_i + w_i) / w_prev
-        if not 0.0 < beta < math.inf:
-            raise NumericError(f"beta coefficient {beta!r} outside the double range; rate spread too extreme")
-        share /= beta
-        if not _SHARE_LOW <= share <= _SHARE_HIGH:
-            share = _rescale(shares, beta)
-        shares.append(share)
-        w_prev = w_i
-    denom = math.fsum(shares)
-    alpha = tuple([s / denom for s in shares])
-    t_star_norm = rates.w0 * alpha[0]
+    scale = min(rates.w0, rates.z[0] + rates.w[0])
+    parts = [scale / rates.w0]
+    c = scale
+    for w, z in zip(rates.w, rates.z):
+        d = z + w
+        parts.append(c / d)
+        c /= d / w
+    try:
+        total = math.fsum(parts)
+    except OverflowError:  # parts past the double range, which the check below refuses
+        total = math.inf
+    t_star_norm = scale / total
+    if not t_star_norm >= _TINY or c < _TINY and not _tail_is_subnormal(rates, total):
+        raise NumericError(
+            "compute and link rates span too wide a range for double precision: "
+            "a makespan or a load fraction would lose its digits"
+        )
+    alpha = tuple([p / total for p in parts])
     return LoadAllocation(alpha=alpha, t_star_norm=t_star_norm, t_star=t_star_norm * load_gb)
 
 
-def _rescale(shares: list[float], beta: float) -> float:
-    """The next share, ``shares[-1] / beta``, with it and every share in
-    ``shares`` multiplied in place by one power of two: the one that brings
-    the new share into [0.5, 1), or as near as keeps the largest share below
-    2**960.
-
-    Raises NumericError if the new share still falls below 2**-960, since it
-    is then under 2**-1919 of the largest and its fraction underflows.
-    """
-    m, e = math.frexp(shares[-1])
-    m_beta, e_beta = math.frexp(beta)
-    mantissa, e_next = math.frexp(m / m_beta)  # one rounding, as share / beta has in range
-    e_next += e - e_beta
-    _, e_top = math.frexp(max(shares))
-    power = min(-e_next, 960 - e_top)
-    shares[:] = [math.ldexp(s, power) for s in shares]
-    share = math.ldexp(mantissa, e_next + power)
-    if share < _SHARE_LOW:
-        raise NumericError("load fraction below 2**-1919 of the largest; rate spread too extreme for double precision")
-    return share
+def _tail_is_subnormal(rates: TimeRates, total: float) -> bool:
+    """Whether every share after the discount fell below 2**-1022 is below
+    it too, and so within 2**-1022 of its exact value: each such part is at
+    most 2**-1022 / (z + w), over a ``total`` of at least 1. A discount
+    step (z + w) / w past the double range cuts the discount to zero from
+    any size, so it answers no."""
+    links = [z + w for w, z in zip(rates.w, rates.z)]
+    return total * min(links) >= 2.0 and max([d / w for d, w in zip(links, rates.w)]) < math.inf
 
 
 def simulate_timeline(rates: TimeRates, alpha, load_gb: float) -> TimingProfile:

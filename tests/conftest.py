@@ -18,14 +18,27 @@ def exact_solve(rates, load_gb) -> tuple[tuple[float, ...], float]:
     """The equal-finish shares (root first) and makespan T*, solved in
     rational arithmetic from the finish-time equalities
     alpha_i (z_i + w_i) = alpha_{i-1} w_{i-1} and conservation, then each
-    rounded once to the nearest double: the reference for every exact answer."""
-    shares = [Fraction(1)]
+    rounded once to the nearest double: the reference for every exact answer.
+
+    Child i's share is child i-1's times r_i = w_{i-1} / (z_i + w_i), so the
+    shares over the root's sum to 1 + r_1 (1 + r_2 (1 + ...)). Numerators
+    and denominators are kept as unreduced integers, which keeps a
+    1,000-child system to a fraction of a second, and ``int / int`` rounds
+    correctly, as ``float(Fraction)`` does."""
+    ratios = []
     w_prev = Fraction(rates.w0)
     for w, z in zip(rates.w, rates.z):
-        shares.append(shares[-1] * w_prev / (Fraction(z) + Fraction(w)))
+        ratios.append(w_prev / (Fraction(z) + Fraction(w)))
         w_prev = Fraction(w)
-    total = sum(shares)
-    return tuple(float(s / total) for s in shares), float(shares[0] / total * Fraction(rates.w0) * Fraction(load_gb))
+    top, bottom = 1, 1
+    for r in reversed(ratios):
+        top, bottom = bottom * r.denominator + r.numerator * top, bottom * r.denominator
+    num, den = bottom, top  # the root's share
+    shares = [num / den]
+    for r in ratios:
+        num, den = num * r.numerator, den * r.denominator
+        shares.append(num / den)
+    return tuple(shares), float(Fraction(bottom, top) * Fraction(rates.w0) * Fraction(load_gb))
 
 
 def desk_train_config(seed: int = DESK_SEED) -> mlp.TrainConfig:

@@ -120,6 +120,22 @@ class TestSolveCommand:
             main(["generate", "--seed", "1", "--out", "x"])
         assert exc.value.code == 2
 
+    def test_no_unloaded_children_line_when_every_child_has_load(self, capsys):
+        code, out, _ = run(capsys, *self.HOMOGENEOUS)
+        assert code == 0 and "no load" not in out
+        payload = json.loads(run(capsys, *self.HOMOGENEOUS, "--format", "machine")[1])
+        assert payload["unloaded_children"] == 0
+
+    def test_children_whose_shares_are_below_the_double_range_are_counted(self, capsys):
+        # Links of 1e-15 MB/s: child k's share is about 1e-18k of the root's,
+        # so the last three of twenty are 0.0.
+        system = ["solve", "--root-speed", "1", "--load-gb", "1", *["--child", "1:1e-15"] * 20, "--compute-intensity", "1"]
+        payload = json.loads(run(capsys, *system, "--format", "machine")[1])
+        assert payload["unloaded_children"] == 3 and payload["alpha"][-3:] == [0.0, 0.0, 0.0]
+        code, out, _ = run(capsys, *system)
+        assert code == 0
+        assert "3 of 20 children get no load: their shares are below the double range\n" in out
+
 
 class TestParseConfigText:
     def test_round_trip_fields(self):
@@ -148,6 +164,14 @@ class TestGenerateCommand:
         assert run(capsys, "generate", "--count", "50", "--seed", "7", "--out", str(a))[0] == 0
         assert run(capsys, "generate", "--count", "50", "--seed", "7", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_thousand_children_at_the_default_intensity(self, capsys, tmp_path):
+        # The last few dozen children of each system get a share of 0.0.
+        out = tmp_path / "data.jsonl"
+        code, _, _ = run(capsys, "generate", "--n-range", "1000", "1000", "--count", "2", "--seed", "1", "--out", str(out))
+        assert code == 0
+        _, dataset = datagen.load_dataset(out)
+        assert [c.n for c in dataset.configs] == [1000, 1000]
 
     def test_different_seeds_differ(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -732,6 +756,13 @@ class TestHybrid:
         with pytest.raises(InvalidInputError, match=f"^threshold must be a finite number of seconds, got {threshold}$"):
             hybrid_predict(constant_model(1.0, compute_intensity=100.0), self.config(), threshold)
 
+    def test_threshold_is_required(self, capsys, tiny_pipeline):
+        # Its scale is the model's makespans, so no one value suits every model.
+        with pytest.raises(SystemExit) as exc:
+            main(["hybrid", "--model", str(tiny_pipeline["model"]), *_SYSTEM])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --threshold" in capsys.readouterr().err
+
     def test_surrogate_branch_is_bounded(self):
         config = self.config()
         decision = hybrid_predict(constant_model(-5.0, compute_intensity=100.0), config, threshold=1e12)
@@ -772,7 +803,9 @@ class TestHybrid:
         # refuses it and the estimate is NaN, while the exact makespan is
         # still finite.
         system = ["--root-speed", "10", "--load-gb", "1e300", "--child", "5:100", "--child", "8:25"]
-        code, out, _ = run(capsys, "hybrid", "--model", str(tiny_pipeline["model"]), *system, "--format", "machine")
+        code, out, _ = run(
+            capsys, "hybrid", "--model", str(tiny_pipeline["model"]), *system, "--threshold", "1e12", "--format", "machine"
+        )
         assert code == 0
         payload = json.loads(out)
         assert (payload["source"], payload["ml_estimate_s"]) == ("dlt-verified", None)
@@ -812,7 +845,7 @@ _SYSTEM = ["--root-speed", "10", "--load-gb", "50", "--child", "5:100"]
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "inf", "--child", "5:100"],
         ["predict", "--model", "{model}", "--config", "{config}"],
         ["solve", "--config", "{system}", "--root-speed", "10"],
-        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100"],
+        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "nan", "--child", "5:100", "--threshold", "1"],
         ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "nan"],
         ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold", "inf"],
         ["hybrid", "--model", "{model}", *_SYSTEM, "--threshold=-inf"],
@@ -881,7 +914,8 @@ def test_removed_flag_is_unrecognized(capsys, tmp_path, tiny_pipeline, argv):
     [
         ["solve", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--format", "machine"],
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--format", "machine"],
-        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--format", "machine"],
+        ["hybrid", "--model", "{model}", "--root-speed", "10", "--load-gb", "1e308", "--child", "5:100", "--threshold", "1",
+         "--format", "machine"],
         ["predict", "--model", "{model}", "--root-speed", "10", "--load-gb", "5", "--child", "1e308:100", "--child", "1e308:100",
          "--format", "machine"],
         ["generate", "--count", "5", "--seed", "1", "--out", "{out}", "--bandwidth-range", "1e308", "1.7e308"],

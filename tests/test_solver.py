@@ -1,13 +1,13 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dltsched import solver
-from dltsched.datagen import SamplerRanges
+from dltsched.datagen import SamplerRanges, record_rng, sample_config
 from dltsched.errors import InvalidInputError, NumericError
 from dltsched.solver import (
     LoadAllocation,
@@ -110,9 +110,12 @@ class TestRangeChecks:
 
     @pytest.mark.parametrize("value", [*NOT_POSITIVE_AND_FINITE, 1.0, 1.5])
     def test_share(self, value):
+        if 0.0 <= value <= 1.0:  # a share below the double range, either zero, or one beside such shares
+            assert LoadAllocation(alpha=(value, 1.0 - value), t_star_norm=1.0, t_star=1.0).alpha[0] == value
+            return
         # A NaN second share makes the sum NaN, which the sum check lets
         # through, so the first share's own check decides.
-        with pytest.raises(NumericError, match=re.escape(f"load fraction {value!r} outside (0, 1)")):
+        with pytest.raises(NumericError, match=re.escape(f"load fraction {value!r} outside [0, 1]")):
             LoadAllocation(alpha=(value, math.nan), t_star_norm=1.0, t_star=1.0)
 
 
@@ -194,25 +197,94 @@ class TestSolveOptimal:
         np.testing.assert_allclose(closed.alpha, exact_solve(rates, load)[0], rtol=1e-9)
 
     def test_share_near_double_underflow_is_returned(self):
-        # The last share is near 1e-310 of the root's, past the running
-        # share's lower bound of 2**-960, so it is reached through a rescale.
+        # The last share is near 1e-310 of the root's: subnormal, and still
+        # within rounding of its exact value.
         rates = TimeRates(w0=1.0, w=(1.0, 1.0, 1.0), z=(0.0, 1e155, 1e155))
         closed = solve_optimal(rates, 1.0)
         assert 0 < closed.alpha[3] < 1e-308
         np.testing.assert_allclose(closed.alpha, exact_solve(rates, 1.0)[0], rtol=1e-9)
 
-    def test_beta_outside_double_range_raises_numeric_error(self):
-        # beta_1 = 1e-200 / 1e200 underflows to zero.
-        with pytest.raises(NumericError):
-            solve_optimal(TimeRates(w0=1e200, w=(1e-200,), z=(0.0,)), 1.0)
+    def test_root_share_below_double_range_is_zero(self):
+        # The root's share is 1e-400 of the child's, which takes all the load.
+        rates = TimeRates(w0=1e200, w=(1e-200,), z=(0.0,))
+        closed = solve_optimal(rates, 1.0)
+        assert closed.alpha == (0.0, 1.0) == exact_solve(rates, 1.0)[0]
+        assert closed.t_star == exact_solve(rates, 1.0)[1] == 1e-200
 
-    def test_extreme_rate_spread_raises_numeric_error(self):
-        from dltsched.errors import NumericError
-
-        # Link rates 18 orders above compute rates underflow the tail shares.
+    def test_extreme_rate_spread_gives_zero_shares(self):
+        # Link rates 18 orders above compute rates: child k's share is about
+        # 1e-18k, so the last three are below the double range.
         rates = TimeRates(w0=1.0, w=(1.0,) * 20, z=(1e18,) * 20)
-        with pytest.raises(NumericError):
+        closed = solve_optimal(rates, 1.0)
+        shares, t_star = exact_solve(rates, 1.0)
+        assert closed.alpha[-3:] == shares[-3:] == (0.0, 0.0, 0.0) and 0.0 not in closed.alpha[:-3]
+        assert_within_rounding(closed.alpha, shares)
+        assert closed.t_star == pytest.approx(t_star, rel=1e-14)
+
+    def test_default_box_system_of_1000_children_matches_exact_solve(self):
+        # Intensity 100: the shares of the last few dozen children are below
+        # the double range.
+        config = sample_config(record_rng(1, 0), SamplerRanges(n_range=(1000, 1000)))
+        rates = to_time_rates(config, 100.0)
+        closed = solve_optimal(rates, config.load_gb)
+        shares, t_star = exact_solve(rates, config.load_gb)
+        assert closed.t_star == pytest.approx(t_star, rel=1e-14)
+        assert 0.0 in shares
+        assert_within_rounding(closed.alpha, shares)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # The discount underflows at the 1e200 links, ahead of a child whose
+            # share is 1e-110.
+            TimeRates(w0=1.0, w=(1.0, 1.0, 1.0, 1e-290), z=(1e200, 1e200, 0.0, 0.0)),
+            # A discount step (z + w) / w of 1e330, which cuts the discount to
+            # zero from any size: refused wherever it falls, here after the last
+            # child.
+            TimeRates(w0=1e300, w=(1e-300,), z=(1e30,)),
+            # Subnormal compute rates: a makespan or a part beyond the range.
+            TimeRates(w0=1.0, w=(1e-310,), z=(0.0,)),
+            TimeRates(w0=1.0, w=(1.0, 1e-310), z=(1.0, 0.0)),
+            TimeRates(w0=1e-310, w=(1.0,), z=(0.0,)),
+            # Parts whose sum passes the double range.
+            TimeRates(w0=1e-300, w=(1e-308,) * 3, z=(0.0,) * 3),
+            # A link plus compute time past the double range, whose child's
+            # share is about 2e-9.
+            TimeRates(w0=1e300, w=(1e300, 1e308), z=(0.0, 1e308)),
+        ],
+        ids=[
+            "underflow-ahead-of-a-fast-child",
+            "discount-step-overflow",
+            "subnormal-child",
+            "subnormal-later-child",
+            "subnormal-root",
+            "parts-overflow",
+            "link-plus-compute-overflow",
+        ],
+    )
+    def test_rates_beyond_double_precision_raise_numeric_error(self, rates):
+        with pytest.raises(NumericError, match="rates span too wide a range for double precision"):
             solve_optimal(rates, 1.0)
+
+
+def assert_within_rounding(alpha, shares):
+    """Each share whose exact value is a normal double is within 1e-14 of
+    it, and every other within 2**-1022."""
+    for a, exact in zip(alpha, shares, strict=True):
+        assert abs(a - exact) <= (1e-14 * exact if exact >= sys.float_info.min else sys.float_info.min)
+
+
+@st.composite
+def wide_rates(draw):
+    """Rates from anywhere in the double range, subnormals and free links
+    included."""
+    n = draw(st.integers(1, 8))
+    rate = st.floats(min_value=5e-324, allow_infinity=False)
+    return TimeRates(
+        w0=draw(rate),
+        w=tuple(draw(st.lists(rate, min_size=n, max_size=n))),
+        z=tuple(draw(st.lists(st.just(0.0) | rate, min_size=n, max_size=n))),
+    )
 
 
 @st.composite
@@ -246,6 +318,17 @@ class TestSolveOptimalProperty:
         rates, load = system
         np.testing.assert_allclose(solve_optimal(rates, load).alpha, exact_solve(rates, load)[0], rtol=1e-14, atol=0.0)
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(wide_rates())
+    def test_answers_within_rounding_or_refuses(self, rates):
+        try:
+            closed = solve_optimal(rates, 1.0)
+        except NumericError:
+            return
+        shares, t_star = exact_solve(rates, 1.0)
+        assert closed.t_star == pytest.approx(t_star, rel=1e-14)
+        assert_within_rounding(closed.alpha, shares)
+
 
 def ladder(exponents, w0):
     """Rates whose compute rates step by powers of two, w_i = w0 * 2**e_i,
@@ -256,26 +339,22 @@ def ladder(exponents, w0):
 
 
 class TestRescaledChain:
-    """Chains whose running share passes 2**960 or 2**-960, so every share
-    so far is rescaled by a power of two, some of them in both directions.
-    Each spans about 2**1000 between its largest and smallest share."""
+    """Long chains of rounding steps across the double range: each spans
+    about 2**1000 between its largest and smallest share, and every step
+    rounds the same way."""
 
     @pytest.mark.parametrize(
-        "rates, rescales",
+        "rates",
         [
-            pytest.param(ladder(range(-1, -1201, -1), 2.0**600), 1, id="rising"),
-            pytest.param(ladder(range(1, 851), 2.0**-425), 1, id="falling"),
-            pytest.param(ladder([*range(-1, -1161, -1), *range(-1159, -329)], 2.0**600), 2, id="rising-then-falling"),
-            pytest.param(ladder([*range(1, 851), *range(849, -351, -1)], 2.0**-425), 2, id="falling-then-rising"),
+            pytest.param(ladder(range(-1, -1201, -1), 2.0**600), id="rising"),
+            pytest.param(ladder(range(1, 851), 2.0**-425), id="falling"),
+            pytest.param(ladder([*range(-1, -1161, -1), *range(-1159, -329)], 2.0**600), id="rising-then-falling"),
+            pytest.param(ladder([*range(1, 851), *range(849, -351, -1)], 2.0**-425), id="falling-then-rising"),
         ],
     )
-    def test_matches_exact_shares(self, monkeypatch, rates, rescales):
-        calls = []
-        rescale = solver._rescale
-        monkeypatch.setattr(solver, "_rescale", lambda *args: calls.append(args) or rescale(*args))
+    def test_matches_exact_shares(self, rates):
         closed = solve_optimal(rates, 3.0)
         shares, t_star = exact_solve(rates, 3.0)
-        assert len(calls) >= rescales
         np.testing.assert_allclose(closed.alpha, shares, rtol=1e-14, atol=0.0)
         assert closed.t_star == pytest.approx(t_star, rel=1e-14)
 
