@@ -1,12 +1,12 @@
 """Synthetic dataset generation for the makespan surrogate.
 
-Samples random star-network configurations over a parameter box, labels
-each with the exact equal-finish makespan, summarizes it into a fixed
-16-value feature vector, splits it stratified by system size, and fits the
-z-score statistics that ``mlp`` trains and predicts with, scaling a column
-of one value by 1. The line-delimited file format keeps the raw
-configuration next to each record so labels can always be replayed
-against the exact solver.
+Samples random star-network configurations over a parameter box, in
+order from one random stream per dataset, labels each with the exact
+equal-finish makespan, summarizes it into a fixed 16-value feature vector,
+splits it stratified by system size, and fits the z-score statistics that
+``mlp`` trains and predicts with, scaling a column of one value by 1. The
+line-delimited file format keeps the raw configuration next to each record
+so labels can always be replayed against the exact solver.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from .errors import FileFormatError, InvalidInputError, NumericError, Stratifica
 from .solver import DEFAULT_COMPUTE_INTENSITY, SltnConfig, solve_optimal, to_time_rates
 
 DATASET_FORMAT = "dltsched-dataset"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 STD_CONVENTION = "population"  # divisor n in every std feature
 
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
 _MIN_STRATUM = 10
-MAX_N = 1_000_000  # children per system: 16 MB of speeds and bandwidths per record
+# Children per system: 16 MB of speeds and bandwidths per record as arrays;
+# generating two such records, held whole until written, peaked at 444 MB.
+MAX_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -170,12 +172,6 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-def record_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-record generator, keyed by seed and index alone, so
-    record i does not depend on ``count``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 def sample_config(rng: np.random.Generator, ranges: SamplerRanges = SamplerRanges()) -> SltnConfig:
     """Draw one uniform random configuration. Draw order is fixed: n, load,
     root speed, child speeds, bandwidths."""
@@ -247,19 +243,19 @@ def generate_dataset(
     compute_intensity: float = DEFAULT_COMPUTE_INTENSITY,
     progress=None,
 ) -> Dataset:
-    """Generate ``count`` labeled records, deterministic in ``seed``.
-
+    """Generate ``count`` labeled records, drawn in order from one generator
+    seeded with ``seed``, so a smaller count gives a prefix of a larger one.
+    Every record is held in memory until the caller writes the dataset.
     Labels come from the exact solver; solver errors propagate (no silent
-    resampling). ``progress`` is an optional callback taking records done.
-    """
+    resampling). ``progress`` is an optional callback taking records done."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
-    codec.integer(seed, "seed")
+    rng = np.random.default_rng(codec.integer(seed, "seed"))
     configs = []
     features = np.empty((count, N_FEATURES))
     t_star = np.empty(count)
     for i in range(count):
-        config = sample_config(record_rng(seed, i), ranges)
+        config = sample_config(rng, ranges)
         configs.append(config)
         features[i], t_star[i] = make_record(config, compute_intensity)
         if progress is not None and (i + 1) % max(1, count // 20) == 0:

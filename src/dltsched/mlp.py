@@ -249,13 +249,15 @@ def backward(params: MlpParams, inputs: list[np.ndarray], residuals) -> MlpParam
 def adam_step(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, learning_rate: float) -> None:
     """Adam's ``t``-th update (from 1) with bias-corrected moments, in place
     on the parameters ``flat`` and the moments ``m`` and ``v``, all laid out
-    like ``grad``. Every element gets the bits a per-array update would
-    give it."""
+    like ``grad``. The corrections fold into the step size and the
+    denominator guard, Kingma & Ba's efficient order (ICLR 2015, Alg. 1),
+    which gives the textbook update to within float rounding."""
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * np.square(grad)
-    flat -= learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2**t)
+    flat -= (learning_rate * root_c2 / (1.0 - ADAM_BETA1**t)) * m / (np.sqrt(v) + ADAM_EPS * root_c2)
 
 
 def _z_features(norm: NormalizationStats, rows) -> np.ndarray:

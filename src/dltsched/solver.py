@@ -150,11 +150,11 @@ class TimingProfile:
 def parse_system(text: str, origin: str = "<config>") -> SltnConfig:
     """The system a description gives, one entry per line.
 
-    Lines: ``root_speed S``, ``load_gb L``, and one ``child SPEED BANDWIDTH``
-    per child processor, in the order the root serves them; a child's two
-    numbers may also be written ``SPEED:BANDWIDTH``. A key and its numbers
-    may be separated by ``=``, and ``#`` starts a comment. Errors name
-    ``origin`` and the line.
+    Lines: ``root_speed S`` and ``load_gb L`` once each, and one ``child
+    SPEED BANDWIDTH`` per child processor, in the order the root serves
+    them; a child's two numbers may also be written ``SPEED:BANDWIDTH``. A
+    key and its numbers may be separated by ``=``, and ``#`` starts a
+    comment. Errors name ``origin`` and the line.
     """
     scalars: dict[str, float] = {}
     children: list[list[float]] = []
@@ -173,6 +173,8 @@ def parse_system(text: str, origin: str = "<config>") -> SltnConfig:
             raise InvalidInputError(f"{origin}:{lineno}: {exc} in {raw.strip()!r}") from exc
         if key == "child":
             children.append(numbers)
+        elif key in scalars:
+            raise InvalidInputError(f"{origin}:{lineno}: repeated {key} line {raw.strip()!r}")
         else:
             scalars[key] = numbers[0]
     if len(scalars) < 2 or not children:

@@ -109,6 +109,15 @@ class TestSolveCommand:
         assert code == 2
         assert "bad.txt:1" in err
 
+    @pytest.mark.parametrize("key", ["root_speed", "load_gb"])
+    def test_repeated_scalar_line_is_usage_error(self, capsys, tmp_path, key):
+        # Neither value is taken: the file names one system or none.
+        config = tmp_path / "system.txt"
+        config.write_text(f"root_speed 10\nload_gb 25\n{key} 20\nchild 5 100\n")
+        code, out, err = run(capsys, "solve", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert f"system.txt:3: repeated {key} line '{key} 20'" in err
+
     @pytest.mark.parametrize("spec", ["5", "a:b", "5:100:3", "5:", ":100"])
     def test_malformed_child_spec_is_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "solve", "--root-speed", "10", "--load-gb", "25", "--child", spec)
@@ -300,6 +309,7 @@ class TestTrainCommand:
             (0, "compute_intensity", -1.0, "compute_intensity"),
             (0, "compute_intensity", 0, "compute_intensity must be positive"),
             (0, "seed", -1, "seed must be an integer"),
+            (0, "version", 1, "unsupported dataset version 1"),
             (3, "t_star", -3.0, "t_star"),
             (3, "t_star", float("nan"), ":4: malformed record"),
             (3, "features", [float("nan")] + [1.0] * 15, ":4: malformed record"),
@@ -310,6 +320,7 @@ class TestTrainCommand:
             "negative-intensity",
             "zero-intensity",
             "negative-seed",
+            "version-1",
             "negative-t-star",
             "nan-t-star",
             "nan-feature",
@@ -736,7 +747,8 @@ class TestHybrid:
         # for equality; the threshold at the median estimate sends about
         # half the systems down each branch.
         model = mlp.load_model(tiny_pipeline["model"])
-        configs = [datagen.sample_config(datagen.record_rng(31, i)) for i in range(200)]
+        rng = np.random.default_rng(31)
+        configs = [datagen.sample_config(rng) for _ in range(200)]
         estimates = [mlp.predict(model, c) for c in configs]
         threshold = sorted(estimates)[len(estimates) // 2]
         sources = set()

@@ -45,17 +45,16 @@ def wide_configs(draw):
 
 class TestSampleConfig:
     def test_deterministic_given_seed(self):
-        a = sample_config(datagen.record_rng(123, 0))
-        b = sample_config(datagen.record_rng(123, 0))
-        assert a == b
-        c = sample_config(datagen.record_rng(123, 1))
-        assert a != c
+        a = sample_config(np.random.default_rng(123))
+        assert a == sample_config(np.random.default_rng(123))
+        assert a != sample_config(np.random.default_rng(124))
 
     def test_draws_stay_in_ranges(self):
         ranges = SamplerRanges()
         ns, speeds, bws, loads = set(), [], [], []
-        for i in range(10_000):
-            cfg = sample_config(datagen.record_rng(9, i), ranges)
+        rng = np.random.default_rng(9)
+        for _ in range(10_000):
+            cfg = sample_config(rng, ranges)
             ns.add(cfg.n)
             speeds.extend((cfg.root_speed, *cfg.child_speeds))
             bws.extend(cfg.link_bandwidths)
@@ -140,6 +139,17 @@ class TestGenerateDataset:
         b = generate_dataset(50, seed=42)
         assert a.configs == b.configs
         assert np.array_equal(a.features, b.features) and np.array_equal(a.t_star, b.t_star)
+
+    def test_smaller_count_is_a_prefix(self):
+        # Record i depends only on the records drawn before it.
+        small, large = generate_dataset(50, seed=5), generate_dataset(200, seed=5)
+        assert small.configs == large.configs[:50]
+        assert small.features.tobytes() == large.features[:50].tobytes()
+        assert small.t_star.tobytes() == large.t_star[:50].tobytes()
+
+    def test_draws_every_record_from_one_generator(self):
+        rng = np.random.default_rng(8)
+        assert generate_dataset(30, seed=8).configs == tuple(sample_config(rng) for _ in range(30))
 
     def test_labels_replay_exactly(self):
         dataset = generate_dataset(50, seed=3)

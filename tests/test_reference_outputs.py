@@ -16,8 +16,8 @@ from dltsched.cli import main
 
 # SHA-256 of `generate --count 2000 --seed 7` at each compute intensity.
 DATASET_SHA256 = {
-    "10000": "6224b05ad48b9b88c23cfe78b39deb70484f0bd389e4093d0a9cc6e5df4c6c30",
-    "100": "55f4050834fc6cdd7203dc9d988154ce642dc9080001ee1e8741dc9be6dc6ab0",
+    "10000": "31e9c0dc6e587568e60ed2f9d8c3f58bd54c2e88bd1c3a5132065bf27169a1ae",
+    "100": "632f497759bb5bd94572865ebb6982f0ebb5440e62c8febde37f04074942d80b",
 }
 
 README_SYSTEM = ["--root-speed", "10", "--load-gb", "25", "--child", "5:100", "--child", "8:40", "--child", "12:75"]

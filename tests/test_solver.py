@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dltsched.datagen import SamplerRanges, record_rng, sample_config
+from dltsched.datagen import SamplerRanges, sample_config
 from dltsched.errors import InvalidInputError, NumericError
 from dltsched.solver import (
     LoadAllocation,
@@ -224,7 +224,7 @@ class TestSolveOptimal:
     def test_default_box_system_of_1000_children_matches_exact_solve(self):
         # Intensity 100: the shares of the last few dozen children are below
         # the double range.
-        config = sample_config(record_rng(1, 0), SamplerRanges(n_range=(1000, 1000)))
+        config = sample_config(np.random.default_rng(1), SamplerRanges(n_range=(1000, 1000)))
         rates = to_time_rates(config, 100.0)
         closed = solve_optimal(rates, config.load_gb)
         shares, t_star = exact_solve(rates, config.load_gb)
